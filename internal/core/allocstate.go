@@ -254,8 +254,13 @@ func newAllocState(n *wlan.Network, cfg *wlan.Config, est *Estimator, opts Alloc
 	// When the spatial index yields a sound cutoff, only candidate pairs
 	// reach the predicate; pruned pairs provably cannot contend, so the
 	// adjacency is identical either way (candidates arrive in the same
-	// (a ascending, j ascending) order the full scan uses).
-	if rows, scanned, ok := spatialCandidates(n, st.popIdx, clientsOf, opts); ok {
+	// (a ascending, j ascending) order the full scan uses). An explicit
+	// contention adjacency is the graph itself.
+	if n.ContendAdj != nil {
+		edges := adjacencyNeighbors(n, st.popIdx, st.populated, st.neighbors)
+		st.pairsScanned = edges
+		st.pairsPruned = totalPairs(len(st.popIdx)) - edges
+	} else if rows, scanned, ok := spatialCandidates(n, st.popIdx, clientsOf, opts); ok {
 		st.spatial = true
 		st.pairsScanned = scanned
 		st.pairsPruned = totalPairs(len(st.popIdx)) - scanned
@@ -303,15 +308,14 @@ func widthIdx(w spectrum.Width) uint8 {
 }
 
 // contendPair reports whether APs i and j contend for the medium: the
-// predicate of wlan.Network.Contend (carrier-sense between the APs, or
-// either AP carrier-sensing a client of the other), restricted to the two
-// cells' own clients. Boolean-equivalent to n.Contend(APs[i], APs[j], cfg).
+// geometric predicate of wlan.Network.Contend (carrier-sense between the
+// APs, or either AP carrier-sensing a client of the other), restricted to
+// the two cells' own clients. Boolean-equivalent to n.Contend(APs[i],
+// APs[j], cfg) on a network without an explicit contention adjacency —
+// the graph builders walk the adjacency instead of asking here.
 func (st *allocState) contendPair(i, j int, clientsOf [][]*wlan.Client) bool {
 	n := st.n
 	a, b := n.APs[i], n.APs[j]
-	if n.ContendOverride != nil {
-		return n.ContendOverride(a.ID, b.ID)
-	}
 	if n.Prop.RxPower(a.TxPower, a.Pos.DistanceTo(b.Pos), 0) >= n.CSThreshold {
 		return true
 	}

@@ -53,6 +53,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"acorn/internal/bitset"
@@ -86,13 +87,12 @@ type assocEngine struct {
 	compCap   uint
 
 	// override is true when the network's contention predicate is replaced
-	// wholesale (measurement-driven deployments); client terms are skipped
-	// then, exactly as wlan.Network.Contend does.
+	// wholesale by an explicit adjacency (measurement-driven deployments);
+	// client terms are skipped then, exactly as wlan.Network.Contend does.
 	override bool
 	// apapDir[a][o] is the direct carrier-sense term of Contend(APs[a],
 	// APs[o]) — whether o hears a's transmit power (directional when
-	// transmit powers differ). In override mode it holds the override's
-	// verdict for the ordered pair.
+	// transmit powers differ). In override mode it holds the adjacency.
 	apapDir [][]bool
 	// apapNbr[a] lists the o with the unordered AP↔AP contention term true
 	// (apapDir in the lower-index-transmits direction) — the static edge
@@ -103,6 +103,13 @@ type assocEngine struct {
 	// (partition.go), rebuilt with the engine and updated by the
 	// applyHome/ensureState hooks.
 	part *contentionPartition
+
+	// apGrid indexes the AP positions (by index) for range queries; linkR
+	// bounds the distance at which either geometric link test of
+	// ensureState can pass. apGrid is nil when no sound bound exists, and
+	// ensureState then tests every AP.
+	apGrid *geo.Grid
+	linkR  float64
 
 	// pop is the cell population K per AP (associations to APs the network
 	// does not know are tracked by the configuration but price as nothing,
@@ -132,11 +139,14 @@ type assocEngine struct {
 	beaconDelay map[assocDelayKey]float64
 	memoKeys    map[int32][]assocDelayKey
 
-	// snr20/widthDelay back the estimators the engine vends for Algorithm 2
-	// (Controller.Reallocate): the measured reference SNRs and the
-	// per-(link, width) delay memo survive across reallocations.
+	// apByID, linkInc, snr20 and widthDelay back the estimators the engine
+	// vends for Algorithm 2 (Controller.Reallocate): the reference SNRs and
+	// per-(link, width) delays, measured on demand, survive across
+	// reallocations. apByID and linkInc resolve IDs; linkInc maps each
+	// client ID to the incarnation its cached links measured.
+	apByID     map[string]*wlan.AP
+	linkInc    map[string]*wlan.Client
 	snr20      map[linkKey]units.DB
-	snrDone    map[string]*wlan.Client
 	widthDelay map[widthKey]float64
 
 	stats assocEngineStats
@@ -218,10 +228,11 @@ func newAssocEngine(n *wlan.Network, cfg *wlan.Config) *assocEngine {
 		clients:     make(map[string]*assocClient, len(cfg.Assoc)),
 		beaconDelay: make(map[assocDelayKey]float64, 4*len(cfg.Assoc)),
 		memoKeys:    make(map[int32][]assocDelayKey, len(cfg.Assoc)),
+		linkInc:     make(map[string]*wlan.Client),
 		snr20:       make(map[linkKey]units.DB),
-		snrDone:     make(map[string]*wlan.Client),
 		widthDelay:  make(map[widthKey]float64),
 	}
+	e.apByID = apsByID(e.aps)
 	for i, ap := range e.aps {
 		e.apIDs[i] = ap.ID
 		e.apIdx[ap.ID] = i
@@ -252,36 +263,44 @@ func newAssocEngine(n *wlan.Network, cfg *wlan.Config) *assocEngine {
 	if !e.syncChannels(cfg) {
 		return nil // unreachable: capacity was sized from this cfg
 	}
-	e.override = n.ContendOverride != nil
+	e.override = n.ContendAdj != nil
+	e.apGrid, e.linkR = newAPGrid(n, e.aps)
 	e.apapDir = make([][]bool, len(e.aps))
 	for a := range e.aps {
 		e.apapDir[a] = make([]bool, len(e.aps))
 	}
-	if !e.buildApapSpatial() {
-		for a, apA := range e.aps {
-			row := e.apapDir[a]
-			for o, apO := range e.aps {
-				if o == a {
-					continue
-				}
-				if e.override {
-					row[o] = n.ContendOverride(apA.ID, apO.ID)
-				} else {
-					row[o] = n.Prop.RxPower(apA.TxPower, apA.Pos.DistanceTo(apO.Pos), 0) >= n.CSThreshold
+	e.apapNbr = make([][]int32, len(e.aps))
+	if e.override {
+		// The adjacency is the whole AP↔AP term, already symmetric: fill
+		// both views from its edge lists.
+		for a, row := range n.ContendAdj {
+			for _, o := range row {
+				e.apapDir[a][o] = true
+			}
+			e.apapNbr[a] = append([]int32(nil), row...)
+		}
+	} else {
+		if !e.buildApapSpatial() {
+			for a, apA := range e.aps {
+				row := e.apapDir[a]
+				for o, apO := range e.aps {
+					if o != a {
+						row[o] = n.Prop.RxPower(apA.TxPower, apA.Pos.DistanceTo(apO.Pos), 0) >= n.CSThreshold
+					}
 				}
 			}
 		}
-	}
-	// The unordered AP↔AP contention term reads the lower-index-transmits
-	// direction only; materialize it once as symmetric neighbor lists for
-	// the partition's population-transition unions.
-	e.apapNbr = make([][]int32, len(e.aps))
-	for a := range e.aps {
-		row := e.apapDir[a]
-		for o := a + 1; o < len(e.aps); o++ {
-			if row[o] {
-				e.apapNbr[a] = append(e.apapNbr[a], int32(o))
-				e.apapNbr[o] = append(e.apapNbr[o], int32(a))
+		// The unordered AP↔AP contention term reads the
+		// lower-index-transmits direction only; materialize it once as
+		// symmetric neighbor lists for the partition's population-transition
+		// unions.
+		for a := range e.aps {
+			row := e.apapDir[a]
+			for o := a + 1; o < len(e.aps); o++ {
+				if row[o] {
+					e.apapNbr[a] = append(e.apapNbr[a], int32(o))
+					e.apapNbr[o] = append(e.apapNbr[o], int32(a))
+				}
 			}
 		}
 	}
@@ -306,37 +325,60 @@ func newAssocEngine(n *wlan.Network, cfg *wlan.Config) *assocEngine {
 	return e
 }
 
+// newAPGrid indexes the APs' positions and returns the radius within which
+// every link that can pass a geometric test of ensureState lies: carrier
+// sense at CSThreshold and association range at AssocMinSNR, both for the
+// strongest transmitter. rf.CarrierSenseRange inverts the path-loss model
+// with a margin, so the radius is a sound superset bound. The grid is nil
+// when no bound exists: a non-invertible propagation model or a non-finite
+// radius.
+func newAPGrid(n *wlan.Network, aps []*wlan.AP) (*geo.Grid, float64) {
+	if len(aps) == 0 {
+		return nil, 0
+	}
+	maxTx := aps[0].TxPower
+	for _, ap := range aps[1:] {
+		if ap.TxPower > maxTx {
+			maxTx = ap.TxPower
+		}
+	}
+	r := 0.0
+	for _, thr := range []units.DBm{n.CSThreshold, n.AssocRxThreshold()} {
+		d, ok := n.Prop.CarrierSenseRange(maxTx, thr)
+		if !ok || math.IsInf(d, 0) || math.IsNaN(d) {
+			return nil, 0
+		}
+		r = math.Max(r, d)
+	}
+	g := geo.NewGrid(r)
+	for i, ap := range aps {
+		g.Add(int32(i), ap.Pos.X, ap.Pos.Y)
+	}
+	return g, r
+}
+
 // buildApapSpatial fills apapDir through per-row grid queries instead of
 // the O(APs²) distance scan: row a's true entries all lie within the
 // carrier-sense range of a's transmit power (rf.CarrierSenseRange is a
 // conservative upper bound), so querying the AP grid at that radius and
 // running the exact predicate on the survivors reproduces the full scan's
 // rows bit-identically. Returns false — leaving the full scan to run —
-// under a contention override (verdicts are not geometric) or when the
-// propagation model exposes no invertible bound.
+// when the propagation model exposes no invertible bound.
 func (e *assocEngine) buildApapSpatial() bool {
-	if e.override || len(e.aps) < 2 {
+	if e.apGrid == nil || len(e.aps) < 2 {
 		return false
 	}
 	radii := make([]float64, len(e.aps))
-	maxR := 0.0
 	for a, ap := range e.aps {
 		r, ok := e.n.Prop.CarrierSenseRange(ap.TxPower, e.n.CSThreshold)
 		if !ok || math.IsInf(r, 0) || math.IsNaN(r) {
 			return false
 		}
 		radii[a] = r
-		if r > maxR {
-			maxR = r
-		}
-	}
-	g := geo.NewGrid(maxR)
-	for a, ap := range e.aps {
-		g.Add(int32(a), ap.Pos.X, ap.Pos.Y)
 	}
 	for a, apA := range e.aps {
 		row := e.apapDir[a]
-		g.VisitWithin(apA.Pos.X, apA.Pos.Y, radii[a], func(o32 int32) {
+		e.apGrid.VisitWithin(apA.Pos.X, apA.Pos.Y, radii[a], func(o32 int32) {
 			o := int(o32)
 			if o == a {
 				return
@@ -456,13 +498,25 @@ func (e *assocEngine) ensureState(u *wlan.Client) *assocClient {
 	st.heard = make([]uint64, words)
 	st.candBits = make([]uint64, words)
 	st.cands = st.cands[:0]
-	for i, ap := range e.aps {
+	test := func(i int) {
+		ap := e.aps[i]
 		if e.n.Prop.RxPower(ap.TxPower, ap.Pos.DistanceTo(u.Pos), 0) >= e.n.CSThreshold {
 			st.heard[i/64] |= 1 << (uint(i) % 64)
 		}
 		if e.n.ClientSNR20(ap, u) >= e.n.AssocMinSNR {
 			st.cands = append(st.cands, int32(i))
 			st.candBits[i/64] |= 1 << (uint(i) % 64)
+		}
+	}
+	// Test the APs near u when a sound bound exists, every AP otherwise;
+	// both visit in ascending index order, so the state is identical.
+	if near, ok := e.nearAPs(u); ok {
+		for _, i := range near {
+			test(int(i))
+		}
+	} else {
+		for i := range e.aps {
+			test(i)
 		}
 	}
 	sort.Slice(st.cands, func(x, y int) bool {
@@ -477,6 +531,25 @@ func (e *assocEngine) ensureState(u *wlan.Client) *assocClient {
 	return st
 }
 
+// nearAPs returns, ascending, the indices of the APs within linkR of u — a
+// superset of those that can pass either geometric link test of
+// ensureState. ok is false when no sound bound exists: no AP grid, or a
+// negative ExtraLoss entry, which lifts a link above what its distance
+// allows. The caller then tests every AP.
+func (e *assocEngine) nearAPs(u *wlan.Client) (near []int32, ok bool) {
+	if e.apGrid == nil {
+		return nil, false
+	}
+	for _, l := range u.ExtraLoss {
+		if l < 0 {
+			return nil, false
+		}
+	}
+	e.apGrid.VisitWithin(u.Pos.X, u.Pos.Y, e.linkR, func(i int32) { near = append(near, i) })
+	slices.Sort(near)
+	return near, true
+}
+
 // purgeDelayMemo drops one incarnation's beacon-delay memo entries via the
 // memoKeys index, in time proportional to the entries dropped.
 func (e *assocEngine) purgeDelayMemo(idx int32) {
@@ -486,15 +559,15 @@ func (e *assocEngine) purgeDelayMemo(idx int32) {
 	delete(e.memoKeys, idx)
 }
 
-// purgeLinks drops the ID-keyed link caches of a reincarnated client so the
-// vended estimators re-measure it.
+// purgeLinks drops the ID-keyed link caches of a departed or reincarnated
+// client so the vended estimators re-measure it.
 func (e *assocEngine) purgeLinks(id string) {
 	for _, apID := range e.apIDs {
 		delete(e.widthDelay, widthKey{apID, id, spectrum.Width20})
 		delete(e.widthDelay, widthKey{apID, id, spectrum.Width40})
 		delete(e.snr20, linkKey{apID, id})
 	}
-	delete(e.snrDone, id)
+	delete(e.linkInc, id)
 }
 
 // addHeardCounts folds the client's hearing bitset into (or out of) home h's
@@ -702,22 +775,22 @@ func (e *assocEngine) associate(u *wlan.Client) AssociationDecision {
 
 // vendEstimator hands Algorithm 2 an estimator backed by the engine's
 // link caches: the reference SNRs and the per-(link, width) delay memo
-// survive across reallocations instead of being re-measured each period. The
-// contention cache starts empty on purpose — it is association-dependent and
-// must be fresh per run. The vended estimator's floats are identical to a
-// NewEstimator's (same measurement expressions), so allocations are
-// unchanged bit-for-bit.
+// survive across reallocations instead of being re-measured each period,
+// and a link is measured only when first priced. A client that re-arrived
+// under the same ID (new object, new geometry) since the last vend has its
+// cached links dropped first, so it is never priced from its old geometry.
+// The contention cache starts empty on purpose — it is
+// association-dependent and must be fresh per run. The vended estimator's
+// floats are identical to a NewEstimator's (same measurement expressions),
+// so allocations are unchanged bit-for-bit.
 func (e *assocEngine) vendEstimator() *Estimator {
 	for _, c := range e.n.Clients {
-		if old := e.snrDone[c.ID]; old == c {
-			continue
-		} else if old != nil {
-			e.purgeLinks(c.ID)
+		if old := e.linkInc[c.ID]; old != c {
+			if old != nil {
+				e.purgeLinks(c.ID)
+			}
+			e.linkInc[c.ID] = c
 		}
-		for _, ap := range e.aps {
-			e.snr20[linkKey{ap.ID, c.ID}] = e.n.ClientSNR20(ap, c)
-		}
-		e.snrDone[c.ID] = c
 	}
-	return &Estimator{n: e.n, snr20: e.snr20, delayMemo: e.widthDelay}
+	return &Estimator{n: e.n, aps: e.apByID, clients: e.linkInc, snr20: e.snr20, delayMemo: e.widthDelay}
 }

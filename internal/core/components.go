@@ -122,6 +122,16 @@ func buildConflictGraph(n *wlan.Network, cfg *wlan.Config, workers int, opts All
 		}
 	}
 
+	// An explicit contention adjacency is the graph itself: no pairs to
+	// scan.
+	if n.ContendAdj != nil {
+		edges := adjacencyNeighbors(n, g.popIdx, g.populated, g.neighbors)
+		g.pairsScanned = edges
+		g.pairsPruned = totalPairs(len(g.popIdx)) - edges
+		g.comps = contentionComponents(g.neighbors, g.popIdx)
+		return g
+	}
+
 	// Pair scan: candidate pairs (a < b), chunked by row across workers.
 	// st.contendPair needs only the fields mirrored here, so a throwaway
 	// allocState shell carries them. With a sound cutoff the rows hold the
@@ -387,14 +397,13 @@ func allocateSharded(n *wlan.Network, cfg *wlan.Config, est *Estimator, opts All
 // and contention only on the component's own members.
 func buildSubproblem(n *wlan.Network, cfg *wlan.Config, comp []int32, clientsOf [][]*wlan.Client) (*wlan.Network, *wlan.Config) {
 	subN := &wlan.Network{
-		Band:            n.Band,
-		Prop:            n.Prop,
-		PacketBytes:     n.PacketBytes,
-		JitterDB:        n.JitterDB,
-		CSThreshold:     n.CSThreshold,
-		AssocMinSNR:     n.AssocMinSNR,
-		NoiseFigure:     n.NoiseFigure,
-		ContendOverride: n.ContendOverride,
+		Band:        n.Band,
+		Prop:        n.Prop,
+		PacketBytes: n.PacketBytes,
+		JitterDB:    n.JitterDB,
+		CSThreshold: n.CSThreshold,
+		AssocMinSNR: n.AssocMinSNR,
+		NoiseFigure: n.NoiseFigure,
 	}
 	subCfg := wlan.NewConfig()
 	for _, i := range comp {
@@ -402,6 +411,25 @@ func buildSubproblem(n *wlan.Network, cfg *wlan.Config, comp []int32, clientsOf 
 		subN.APs = append(subN.APs, ap)
 		if ch := cfg.Channels[ap.ID]; !ch.IsZero() {
 			subCfg.Channels[ap.ID] = ch
+		}
+	}
+	if n.ContendAdj != nil {
+		// The component's slice of the adjacency, renumbered to subproblem
+		// AP indices. comp is ascending, so the renumbering is monotone and
+		// rows stay ascending; edges leaving the component are dropped,
+		// exactly as an ID-keyed predicate over subN's APs would never see
+		// them.
+		sub := make(map[int32]int32, len(comp))
+		for k, i := range comp {
+			sub[i] = int32(k)
+		}
+		subN.ContendAdj = make([][]int32, len(comp))
+		for k, i := range comp {
+			for _, j := range n.ContendAdj[i] {
+				if s, ok := sub[j]; ok {
+					subN.ContendAdj[k] = append(subN.ContendAdj[k], s)
+				}
+			}
 		}
 	}
 	// Clients in network order: walk n.Clients and keep those homed in the

@@ -29,7 +29,15 @@ import (
 // assumes channels of equal width are interchangeable.
 type Estimator struct {
 	n *wlan.Network
-	// snr20 caches the measured reference SNR of every AP→client link.
+	// aps and clients resolve IDs to the radios a measurement needs: the
+	// network's APs and clients as they stood at construction (or, for an
+	// estimator the association engine vends, at the vend). An ID unknown
+	// then prices as −Inf. The maps are not the network's index, so
+	// resolution never triggers its lazy rebuild.
+	aps     map[string]*wlan.AP
+	clients map[string]*wlan.Client
+	// snr20 memoizes the measured reference SNR of each AP→client link the
+	// first time it is priced.
 	snr20 map[linkKey]units.DB
 	// MeasurementNoiseDB, when non-zero, perturbs each cached measurement
 	// deterministically to model imperfect driver SNR reports.
@@ -45,9 +53,9 @@ type Estimator struct {
 	// delayMemo, when non-nil, memoizes the per-(link, width) transmission
 	// delays across the estimator's lifetime — and beyond it, when the
 	// association engine vends estimators sharing one memo across
-	// reallocations. nil (the NewEstimator default) keeps the original
-	// uncached behavior. The memo is bypassed under measurement noise,
-	// whose perturbation is part of the delay.
+	// reallocations. nil (the NewEstimator default) keeps delays uncached.
+	// The memo is bypassed under measurement noise, whose perturbation is
+	// part of the delay.
 	delayMemo map[widthKey]float64
 }
 
@@ -58,25 +66,43 @@ type widthKey struct {
 	w          spectrum.Width
 }
 
-// NewEstimator builds an estimator over the network, measuring (caching)
-// the 20 MHz reference SNR of every AP→client pair.
+// NewEstimator builds an estimator over the network. It measures nothing
+// up front: each AP→client link's 20 MHz reference SNR is measured the
+// first time something prices it and memoized for the estimator's
+// lifetime, so the cost is proportional to the links Algorithm 2 touches
+// (each client's own AP), not to APs × clients. The values are the ones an
+// eager table would hold, provided no radio's geometry changes in place
+// while the estimator is in use.
 func NewEstimator(n *wlan.Network) *Estimator {
-	e := &Estimator{n: n, snr20: make(map[linkKey]units.DB, len(n.APs)*len(n.Clients))}
-	for _, ap := range n.APs {
-		for _, c := range n.Clients {
-			e.snr20[linkKey{ap.ID, c.ID}] = n.ClientSNR20(ap, c)
-		}
+	clients := make(map[string]*wlan.Client, len(n.Clients))
+	for _, c := range n.Clients {
+		clients[c.ID] = c
 	}
-	return e
+	return &Estimator{n: n, aps: apsByID(n.APs), clients: clients, snr20: make(map[linkKey]units.DB)}
+}
+
+// apsByID indexes APs by ID; with duplicate IDs the last one wins.
+func apsByID(aps []*wlan.AP) map[string]*wlan.AP {
+	m := make(map[string]*wlan.AP, len(aps))
+	for _, ap := range aps {
+		m[ap.ID] = ap
+	}
+	return m
 }
 
 // LinkSNR returns the estimated per-subcarrier SNR of the link on a channel
 // of the given width: the measured 20 MHz reference, recalibrated by the
 // bonding penalty when the target is 40 MHz.
 func (e *Estimator) LinkSNR(apID, clientID string, w spectrum.Width) units.DB {
-	snr, ok := e.snr20[linkKey{apID, clientID}]
+	k := linkKey{apID, clientID}
+	snr, ok := e.snr20[k]
 	if !ok {
-		return units.DB(math.Inf(-1))
+		ap, c := e.aps[apID], e.clients[clientID]
+		if ap == nil || c == nil {
+			return units.DB(math.Inf(-1))
+		}
+		snr = e.n.ClientSNR20(ap, c)
+		e.snr20[k] = snr
 	}
 	if e.MeasurementNoiseDB != 0 {
 		snr += units.DB(e.MeasurementNoiseDB * noiseUnit(apID, clientID))

@@ -19,9 +19,11 @@ package core
 // full adjacency.
 //
 // The prune degrades to the exact full scan whenever no sound cutoff
-// exists: a ContendOverride (arbitrary predicate, no geometry), a
-// non-invertible propagation model, a non-finite cutoff, or an explicit
-// opt-out (AllocOptions.NoSpatialIndex).
+// exists: a non-invertible propagation model, a non-finite cutoff, or an
+// explicit opt-out (AllocOptions.NoSpatialIndex). A network with an
+// explicit contention adjacency (wlan.Network.ContendAdj) has no geometry
+// to prune by and needs none: the builders walk its edge lists instead
+// (adjacencyNeighbors).
 
 import (
 	"math"
@@ -37,7 +39,7 @@ import (
 // pair count. ok=false means no sound cutoff exists and the caller must run
 // the full scan.
 func spatialCandidates(n *wlan.Network, popIdx []int, clientsOf [][]*wlan.Client, opts AllocOptions) (rows [][]int32, scanned int, ok bool) {
-	if opts.NoSpatialIndex || n.ContendOverride != nil || len(popIdx) < 2 {
+	if opts.NoSpatialIndex || n.ContendAdj != nil || len(popIdx) < 2 {
 		return nil, 0, false
 	}
 	maxTx := n.APs[popIdx[0]].TxPower
@@ -109,6 +111,25 @@ func spatialCandidates(n *wlan.Network, popIdx []int, clientsOf [][]*wlan.Client
 		scanned += w
 	}
 	return rows, scanned, true
+}
+
+// adjacencyNeighbors fills neighbors — indexed by AP, restricted to the
+// populated cells in popIdx — straight from the network's explicit
+// contention adjacency: an adjacency edge is contention, so there is no
+// predicate to run. Rows come out ascending, as the pair scans build them.
+// It returns the populated edge count, each unordered edge counted once.
+func adjacencyNeighbors(n *wlan.Network, popIdx []int, populated []int, neighbors [][]int32) (edges int) {
+	for _, i := range popIdx {
+		for _, j := range n.ContendAdj[i] {
+			if populated[j] > 0 {
+				neighbors[i] = append(neighbors[i], j)
+				if int(j) > i {
+					edges++
+				}
+			}
+		}
+	}
+	return edges
 }
 
 // totalPairs is the pair count of the full O(P²) scan over p populated

@@ -12,8 +12,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -158,30 +160,88 @@ func TestSpatialGridCellOverride(t *testing.T) {
 	}
 }
 
-// TestSpatialOverrideDispatch pins the fallback contract: a contention
-// override disables the spatial candidate pass (verdicts are not geometric)
-// and both the graph build and the association engine take the exact full
-// scan, with identical results to a non-indexed build.
+// TestSpatialOverrideDispatch pins the adjacency contract: an explicit
+// contention adjacency (wlan.Network.ContendAdj) disables the spatial
+// candidate pass (verdicts are not geometric); the graph builders, the
+// association engine and the sharded solver's subproblems all walk its
+// edge lists, with results identical to a NoSpatialIndex build and to the
+// pairwise wlan.Network.Contend oracle.
 func TestSpatialOverrideDispatch(t *testing.T) {
 	n, cfg := geomSetup(t, "uniform", 40, 2, 4)
-	n.ContendOverride = func(a, b string) bool { return (len(a)+len(b))%2 == 0 || a < b }
+	// A symmetric, irreflexive relation with no geometric meaning.
+	n.ContendAdj = make([][]int32, len(n.APs))
+	for i := range n.APs {
+		for j := range n.APs {
+			if i != j && ((i+j)%5 == 0 || (i*j)%7 == 1) {
+				n.ContendAdj[i] = append(n.ContendAdj[i], int32(j))
+			}
+		}
+	}
+	if err := n.Validate(); err != nil {
+		t.Fatalf("fixture adjacency rejected: %v", err)
+	}
 	if rows, _, ok := spatialCandidates(n, []int{0, 1}, make([][]*wlan.Client, len(n.APs)), AllocOptions{}); ok || rows != nil {
-		t.Fatal("spatialCandidates accepted an overridden network")
+		t.Fatal("spatialCandidates accepted a network with an explicit adjacency")
 	}
 	g := buildConflictGraph(n, cfg, 2, AllocOptions{})
 	ref := buildConflictGraph(n, cfg, 1, AllocOptions{NoSpatialIndex: true})
 	if g.spatial {
-		t.Fatal("spatial path engaged under a contention override")
+		t.Fatal("spatial path engaged under an explicit adjacency")
 	}
 	if !reflect.DeepEqual(g.neighbors, ref.neighbors) || !reflect.DeepEqual(g.comps, ref.comps) {
-		t.Fatal("override build diverges")
+		t.Fatal("adjacency build diverges")
+	}
+	// Oracle: the populated pairs wlan.Network.Contend reports.
+	want := make([][]int32, len(n.APs))
+	edges := 0
+	for _, i := range g.popIdx {
+		for _, j := range g.popIdx {
+			if i != j && n.Contend(n.APs[i], n.APs[j], cfg) {
+				want[i] = append(want[i], int32(j))
+				if i < j {
+					edges++
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(g.neighbors, want) {
+		t.Fatal("adjacency build diverges from the Contend oracle")
+	}
+	if g.pairsScanned != edges || g.pairsScanned+g.pairsPruned != totalPairs(len(g.popIdx)) {
+		t.Fatalf("scanned %d pruned %d, want %d edges of %d pairs", g.pairsScanned, g.pairsPruned, edges, totalPairs(len(g.popIdx)))
+	}
+	st := newAllocState(n, cfg, NewEstimator(n), AllocOptions{})
+	if !reflect.DeepEqual(st.neighbors, want) || st.pairsScanned != edges {
+		t.Fatal("allocState adjacency diverges from the Contend oracle")
 	}
 	e := newAssocEngine(n, cfg)
 	if e == nil {
-		t.Fatal("engine rejected override fixture")
+		t.Fatal("engine rejected adjacency fixture")
 	}
-	if e.buildApapSpatial() {
-		t.Fatal("buildApapSpatial accepted an overridden network")
+	for a := range n.APs {
+		for o := range n.APs {
+			if got := e.apapDir[a][o]; got != (a != o && n.Contend(n.APs[a], n.APs[o], cfg)) {
+				t.Fatalf("engine apapDir[%d][%d] = %v disagrees with Contend", a, o, got)
+			}
+		}
+	}
+	if !reflect.DeepEqual(e.partitionHandle().components(), ref.comps) {
+		t.Fatal("engine partition diverges from the adjacency build")
+	}
+	// Each component's subproblem carries its slice of the adjacency,
+	// renumbered: Contend on the subproblem agrees with the whole network.
+	for _, comp := range ref.comps {
+		subN, subCfg := buildSubproblem(n, cfg, comp, ref.clientsOf)
+		if err := subN.Validate(); err != nil {
+			t.Fatalf("subproblem adjacency invalid: %v", err)
+		}
+		for a, i := range comp {
+			for b, j := range comp {
+				if subN.Contend(subN.APs[a], subN.APs[b], subCfg) != n.Contend(n.APs[i], n.APs[j], cfg) {
+					t.Fatalf("subproblem contention (%d,%d) diverges", i, j)
+				}
+			}
+		}
 	}
 }
 
@@ -467,4 +527,168 @@ func TestStreamNoopFastPath(t *testing.T) {
 	if v := mReg.Counter("acorn_core_stream_noop_skips_total", "").Value(); v != st2.NoopSkips {
 		t.Fatalf("metric %d != stats %d", v, st2.NoopSkips)
 	}
+}
+
+// denseLinkState is the oracle for ensureState's per-client link tests: the
+// carrier-sense and association-range predicates over every AP, in index
+// order, with the candidate list then put in beacon (AP-ID) order.
+func denseLinkState(e *assocEngine, u *wlan.Client) (heard, candBits []uint64, cands []int32) {
+	words := (len(e.aps) + 63) / 64
+	heard, candBits = make([]uint64, words), make([]uint64, words)
+	for i, ap := range e.aps {
+		if e.n.Prop.RxPower(ap.TxPower, ap.Pos.DistanceTo(u.Pos), 0) >= e.n.CSThreshold {
+			heard[i/64] |= 1 << (uint(i) % 64)
+		}
+		if e.n.ClientSNR20(ap, u) >= e.n.AssocMinSNR {
+			cands = append(cands, int32(i))
+			candBits[i/64] |= 1 << (uint(i) % 64)
+		}
+	}
+	sort.Slice(cands, func(x, y int) bool { return e.apIDs[cands[x]] < e.apIDs[cands[y]] })
+	return heard, candBits, cands
+}
+
+// viewStyleNetwork mirrors the networked controller's measurement view: APs
+// at 10 km anchors, each client 5 m from its AP behind a wall calibrated
+// to a reported SNR (no wall when the report beats free space).
+func viewStyleNetwork(nAP, clientsPer int, seed int64) (*wlan.Network, *wlan.Config) {
+	rng := rand.New(rand.NewSource(seed))
+	var aps []*wlan.AP
+	for i := 0; i < nAP; i++ {
+		aps = append(aps, &wlan.AP{ID: fmt.Sprintf("AP%04d", i), Pos: rf.Point{X: float64(i) * 10000}, TxPower: units.DBm(15 + rng.Intn(6))})
+	}
+	var clients []*wlan.Client
+	cfg := wlan.NewConfig()
+	for _, ap := range aps {
+		for k := 0; k < clientsPer; k++ {
+			c := &wlan.Client{ID: fmt.Sprintf("%s/u%d", ap.ID, k), Pos: rf.Point{X: ap.Pos.X + 5, Y: 3}}
+			clients = append(clients, c)
+			cfg.SetAssoc(c.ID, ap.ID)
+		}
+	}
+	n := wlan.NewNetwork(aps, clients)
+	n.JitterDB = 0
+	for _, c := range clients {
+		ap := n.AP(cfg.Assoc[c.ID])
+		if wall := float64(n.ClientSNR20(ap, c)) - (rng.Float64()*60 - 10); wall > 0 {
+			c.ExtraLoss = map[string]units.DB{ap.ID: units.DB(wall)}
+		}
+	}
+	return n, cfg
+}
+
+// TestEnsureStateGridMatchesDense pins the sparse link-state build: on
+// uniform, clustered, mixed-TxPower and view-style layouts, plus clients
+// placed on the carrier-sense and association-range boundaries, the grid
+// query must engage and ensureState's hearing set, candidate bitset and
+// beacon-ordered candidate list must equal the dense scan's. A negative
+// ExtraLoss entry and a non-invertible propagation model must route to the
+// dense scan, with the same state.
+func TestEnsureStateGridMatchesDense(t *testing.T) {
+	type fixture struct {
+		name string
+		n    *wlan.Network
+		cfg  *wlan.Config
+	}
+	var fixtures []fixture
+	for _, layout := range []string{"uniform", "clustered"} {
+		for seed := int64(1); seed <= 2; seed++ {
+			n, cfg := geomSetup(t, layout, 80, 3, seed)
+			fixtures = append(fixtures, fixture{fmt.Sprintf("%s/seed%d", layout, seed), n, cfg})
+		}
+	}
+	{
+		// Mixed transmit powers spanning 30 dB: the grid radius follows
+		// the strongest AP, the weak ones must still test exactly.
+		n, cfg := geomSetup(t, "uniform", 80, 3, 9)
+		for i, ap := range n.APs {
+			ap.TxPower = units.DBm(-5 + 5*(i%7))
+		}
+		fixtures = append(fixtures, fixture{"mixed-txpower", n, cfg})
+	}
+	{
+		n, cfg := viewStyleNetwork(60, 3, 5)
+		fixtures = append(fixtures, fixture{"view-style", n, cfg})
+	}
+	{
+		// Clients on the exact boundary distances of both tests, just
+		// inside and just outside, around one AP of a small grid.
+		n, cfg := geomSetup(t, "uniform", 20, 1, 11)
+		ap := n.APs[0]
+		for ti, thr := range []units.DBm{n.CSThreshold, n.AssocRxThreshold()} {
+			exp := (float64(ap.TxPower) - float64(thr) - float64(n.Prop.ReferenceLoss) + float64(n.Prop.AntennaGain)) / (10 * n.Prop.Exponent)
+			r := math.Pow(10, exp)
+			for k, f := range []float64{1 - 1e-9, 1, 1 + 1e-9, 1 + 1e-7} {
+				ang := float64(k) * 0.7
+				n.Clients = append(n.Clients, &wlan.Client{
+					ID:  fmt.Sprintf("edge%d_%d", ti, k),
+					Pos: rf.Point{X: ap.Pos.X + r*f*math.Cos(ang), Y: ap.Pos.Y + r*f*math.Sin(ang)},
+				})
+			}
+		}
+		fixtures = append(fixtures, fixture{"boundary", n, cfg})
+	}
+
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			e := newAssocEngine(fx.n, fx.cfg)
+			if e == nil {
+				t.Fatal("engine rejected the fixture")
+			}
+			sawCand := false
+			for _, u := range fx.n.Clients {
+				if _, ok := e.nearAPs(u); !ok {
+					t.Fatalf("client %s: grid query did not engage", u.ID)
+				}
+				st := e.ensureState(u)
+				heard, candBits, cands := denseLinkState(e, u)
+				if !reflect.DeepEqual(st.heard, heard) || !reflect.DeepEqual(st.candBits, candBits) ||
+					!reflect.DeepEqual(append([]int32{}, st.cands...), append([]int32{}, cands...)) {
+					t.Fatalf("client %s: grid state diverges from dense scan\n got  cands %v\n want cands %v", u.ID, st.cands, cands)
+				}
+				sawCand = sawCand || len(cands) > 0
+			}
+			if !sawCand {
+				t.Fatal("fixture: no client has an AP in range")
+			}
+		})
+	}
+
+	t.Run("negative-extraloss", func(t *testing.T) {
+		n, cfg := geomSetup(t, "uniform", 40, 2, 3)
+		e := newAssocEngine(n, cfg)
+		u := &wlan.Client{ID: "boosted", Pos: rf.Point{X: -4000, Y: -4000},
+			ExtraLoss: map[string]units.DB{n.APs[0].ID: -200}}
+		if _, ok := e.nearAPs(u); ok {
+			t.Fatal("grid query engaged for a client with a negative ExtraLoss")
+		}
+		st := e.ensureState(u)
+		heard, candBits, cands := denseLinkState(e, u)
+		if len(cands) == 0 {
+			t.Fatal("fixture: the boosted link should be in range despite the distance")
+		}
+		if !reflect.DeepEqual(st.heard, heard) || !reflect.DeepEqual(st.candBits, candBits) || !reflect.DeepEqual(st.cands, cands) {
+			t.Fatal("dense fallback state diverges from the oracle")
+		}
+	})
+
+	t.Run("no-invertible-bound", func(t *testing.T) {
+		n, cfg := geomSetup(t, "uniform", 40, 2, 3)
+		n.Prop.Exponent = 0
+		e := newAssocEngine(n, cfg)
+		if e.apGrid != nil {
+			t.Fatal("AP grid built without an invertible propagation bound")
+		}
+		for _, u := range n.Clients {
+			if _, ok := e.nearAPs(u); ok {
+				t.Fatal("grid query engaged without an invertible propagation bound")
+			}
+			st := e.ensureState(u)
+			heard, candBits, cands := denseLinkState(e, u)
+			if !reflect.DeepEqual(st.heard, heard) || !reflect.DeepEqual(st.candBits, candBits) ||
+				!reflect.DeepEqual(append([]int32{}, st.cands...), append([]int32{}, cands...)) {
+				t.Fatalf("client %s: dense fallback state diverges from the oracle", u.ID)
+			}
+		}
+	})
 }

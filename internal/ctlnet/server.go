@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -816,22 +817,29 @@ func buildView(hellos map[string]Hello, reports map[string]Report) (*wlan.Networ
 			}
 		}
 	}
-	// Contention from the reported hear-graph, symmetrized.
-	hears := map[string]map[string]bool{}
-	for _, id := range ids {
-		hears[id] = map[string]bool{}
+	// Contention from the reported hear-graph, symmetrized, as an
+	// adjacency over AP indices (ids order is n.APs order). Self-reports
+	// are dropped: an AP never contends with itself.
+	idx := make(map[string]int32, len(ids))
+	for i, id := range ids {
+		idx[id] = int32(i)
 	}
-	for _, id := range ids {
+	adj := make([][]int32, len(ids))
+	for i, id := range ids {
 		if rep, ok := reports[id]; ok {
 			for _, other := range rep.Hears {
-				if _, known := hears[other]; known {
-					hears[id][other] = true
-					hears[other][id] = true
+				if j, known := idx[other]; known && int(j) != i {
+					adj[i] = append(adj[i], j)
+					adj[j] = append(adj[j], int32(i))
 				}
 			}
 		}
 	}
-	n.ContendOverride = func(a, b string) bool { return hears[a][b] }
+	for i, row := range adj {
+		slices.Sort(row)
+		adj[i] = slices.Compact(row)
+	}
+	n.ContendAdj = adj
 	return n, cfg
 }
 

@@ -63,13 +63,17 @@ type Network struct {
 	// link SNR on top of the thermal floor. Commodity 802.11n cards sit
 	// around 7 dB.
 	NoiseFigure units.DB
-	// ContendOverride, when non-nil, replaces the geometric contention
-	// predicate entirely: measurement-driven deployments (the networked
-	// controller) know who hears whom from reports, not from a floor
-	// plan. It must be symmetric.
-	ContendOverride func(apA, apB string) bool
+	// ContendAdj, when non-nil, replaces the geometric contention predicate
+	// entirely: measurement-driven deployments (the networked controller)
+	// know who hears whom from reports, not from a floor plan. ContendAdj[i]
+	// lists, ascending, the indices into APs of the APs that contend with
+	// APs[i]. The relation must be symmetric and irreflexive, with one row
+	// per AP (Validate checks). Client-mediated contention is ignored then.
+	ContendAdj [][]int32
 
-	apIndex     map[string]*AP
+	// apIndex maps AP ID → index into APs; clientIndex maps client ID →
+	// client.
+	apIndex     map[string]int
 	clientIndex map[string]*Client
 }
 
@@ -93,9 +97,9 @@ func NewNetwork(aps []*AP, clients []*Client) *Network {
 }
 
 func (n *Network) reindex() {
-	n.apIndex = make(map[string]*AP, len(n.APs))
-	for _, ap := range n.APs {
-		n.apIndex[ap.ID] = ap
+	n.apIndex = make(map[string]int, len(n.APs))
+	for i, ap := range n.APs {
+		n.apIndex[ap.ID] = i
 	}
 	n.clientIndex = make(map[string]*Client, len(n.Clients))
 	for _, c := range n.Clients {
@@ -106,10 +110,24 @@ func (n *Network) reindex() {
 // AP returns the AP with the given ID, or nil. The lookup index self-heals
 // when callers have appended to the APs slice (e.g. dynamic deployments).
 func (n *Network) AP(id string) *AP {
+	if i, ok := n.apOrdinal(id); ok {
+		return n.APs[i]
+	}
+	return nil
+}
+
+// apOrdinal returns the index into APs of the AP with the given ID. It
+// self-heals like AP, and also after an in-place replacement of an entry.
+func (n *Network) apOrdinal(id string) (int, bool) {
 	if n.apIndex == nil || len(n.apIndex) != len(n.APs) {
 		n.reindex()
 	}
-	return n.apIndex[id]
+	i, ok := n.apIndex[id]
+	if ok && n.APs[i].ID != id {
+		n.reindex()
+		i, ok = n.apIndex[id]
+	}
+	return i, ok
 }
 
 // Client returns the client with the given ID, or nil. Like AP, the index
@@ -174,6 +192,15 @@ func (n *Network) ClientSNR20(ap *AP, c *Client) units.DB {
 	return phy.SubcarrierSNR(rx, spectrum.Width20).Minus(n.NoiseFigure)
 }
 
+// AssocRxThreshold returns the received power at which ClientSNR20 reaches
+// AssocMinSNR: ClientSNR20's expression solved for the received power. It
+// agrees with the forward expression up to float rounding, so a distance
+// bound derived from it needs a margin (rf.CarrierSenseRange carries one).
+func (n *Network) AssocRxThreshold() units.DBm {
+	return phy.SubcarrierNoiseFloor() + units.DBm(n.AssocMinSNR+n.NoiseFigure) +
+		units.DBm(units.Ratio(float64(phy.UsedSubcarriers(spectrum.Width20))))
+}
+
 // APsInRange returns the candidate set A_u of APs the client can hear, in
 // descending SNR order.
 func (n *Network) APsInRange(c *Client) []*AP {
@@ -200,13 +227,21 @@ func (n *Network) APsInRange(c *Client) []*AP {
 // threshold, or either hears a client of the other (footnote 5 of the
 // paper: "Two APs interfere with each other either if they directly compete
 // for the medium or if either competes with at least one of the other AP's
-// clients").
+// clients"). With ContendAdj set, the adjacency alone decides (an AP not
+// in APs contends with nothing).
 func (n *Network) Contend(a, b *AP, cfg *Config) bool {
 	if a == b {
 		return false
 	}
-	if n.ContendOverride != nil {
-		return n.ContendOverride(a.ID, b.ID)
+	if n.ContendAdj != nil {
+		i, okA := n.apOrdinal(a.ID)
+		j, okB := n.apOrdinal(b.ID)
+		if !okA || !okB || i >= len(n.ContendAdj) {
+			return false
+		}
+		row := n.ContendAdj[i]
+		k := sort.Search(len(row), func(k int) bool { return row[k] >= int32(j) })
+		return k < len(row) && row[k] == int32(j)
 	}
 	if n.Prop.RxPower(a.TxPower, a.Pos.DistanceTo(b.Pos), 0) >= n.CSThreshold {
 		return true
@@ -273,6 +308,36 @@ func (n *Network) Validate() error {
 	}
 	if n.PacketBytes <= 0 {
 		return fmt.Errorf("wlan: non-positive packet size %d", n.PacketBytes)
+	}
+	return n.validateAdj()
+}
+
+// validateAdj checks ContendAdj's contract: one row per AP, each row
+// ascending and in range, no self-loops, and every edge present in both
+// directions.
+func (n *Network) validateAdj() error {
+	if n.ContendAdj == nil {
+		return nil
+	}
+	if len(n.ContendAdj) != len(n.APs) {
+		return fmt.Errorf("wlan: contention adjacency has %d rows for %d APs", len(n.ContendAdj), len(n.APs))
+	}
+	for i, row := range n.ContendAdj {
+		for k, j := range row {
+			switch {
+			case j < 0 || int(j) >= len(n.APs):
+				return fmt.Errorf("wlan: contention adjacency row %d names AP index %d out of range", i, j)
+			case int(j) == i:
+				return fmt.Errorf("wlan: contention adjacency row %d lists itself", i)
+			case k > 0 && row[k-1] >= j:
+				return fmt.Errorf("wlan: contention adjacency row %d is not strictly ascending", i)
+			}
+			back := n.ContendAdj[j]
+			at := sort.Search(len(back), func(x int) bool { return back[x] >= int32(i) })
+			if at == len(back) || back[at] != int32(i) {
+				return fmt.Errorf("wlan: contention adjacency edge %d→%d has no reverse", i, j)
+			}
+		}
 	}
 	return nil
 }
