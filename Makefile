@@ -10,15 +10,22 @@ BUILD_DIR ?= build
 # build, or a fresh module fetch, in that order.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build vet staticcheck test race bench bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench fleet-bench-smoke stream-chaos obs-smoke cover experiments clean
+.PHONY: all build fmt vet staticcheck test race bench bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench fleet-bench-smoke stream-chaos obs-smoke cover experiments clean
 
 # The default check path race-checks everything: the control plane is
 # deliberately concurrent (heartbeats, reconnect supervisors, chaos tests),
 # so plain `make` must catch data races, not just failures.
-all: build vet staticcheck test race bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench-smoke stream-chaos obs-smoke
+all: build fmt vet staticcheck test race bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench-smoke stream-chaos obs-smoke
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, listing the files, when any Go file in the tree
+# is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...

@@ -12,13 +12,12 @@ import (
 )
 
 // fleet runs the in-process fleet simulator: thousands of reconnecting
-// agents against a real sharded controller, measuring convergence, push
+// agents against a real controller, measuring convergence, push
 // tail latency, bytes on the wire, and behavior under churn and storms.
 func fleet(args []string) {
 	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
 	agents := fs.Int("agents", 1000, "fleet size (in-process agents)")
 	frame := fs.Int("frame", 2, "wire framing the agents request: 2 = binary frames, 1 = JSON lines")
-	serverShards := fs.Int("server-shards", 0, "controller accept/IO shards (0 = min(8, GOMAXPROCS))")
 	duration := fs.Duration("duration", 3*time.Second, "steady-state phase length")
 	reportPeriod := fs.Duration("report-period", 2*time.Second, "per-agent report cadence, jittered +/-50%")
 	heartbeat := fs.Duration("heartbeat", 5*time.Second, "agent ping cadence")
@@ -34,7 +33,6 @@ func fleet(args []string) {
 	res, err := fleetsim.Run(context.Background(), fleetsim.Options{
 		Agents:         *agents,
 		Frame:          *frame,
-		Shards:         *serverShards,
 		Duration:       *duration,
 		ReportInterval: *reportPeriod,
 		Heartbeat:      *heartbeat,
@@ -57,8 +55,8 @@ func fleet(args []string) {
 	}
 	fmt.Printf("fleet: %d agents (frame v%d, %s transport)\n", res.Agents, res.Frame, *transport)
 	fmt.Printf("  converged:      %v in %v\n", res.Converged, res.ConvergeTime.Round(time.Millisecond))
-	fmt.Printf("  reports:        %d applied (%.0f/s sustained), %d coalesced in shard queues, %d shed\n",
-		res.ReportsApplied, res.ReportsPerSec, res.ShardCoalesced, res.ShardShed)
+	fmt.Printf("  reports:        %d applied (%.0f/s sustained)\n",
+		res.ReportsApplied, res.ReportsPerSec)
 	fmt.Printf("  pushes:         %d enqueued, %d deduped, %d errors\n",
 		res.PushesEnqueued, res.PushesDeduped, res.PushErrors)
 	fmt.Printf("  push latency:   p50 %v, p99 %v\n",

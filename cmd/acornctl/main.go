@@ -2,7 +2,6 @@
 //
 //	acornctl serve -addr :7431 [-period 30m] [-report-ttl 3h]
 //	              [-hello-timeout 10s] [-peer-timeout 90s]
-//	              [-server-shards 0] [-shard-queue 4096]
 //	              [-stream] [-stream-debounce 25ms] [-stream-watchdog 0]
 //	              [-switch-margin 0.02] [-switch-streak 2]
 //	              [-switch-rate 12] [-switch-burst 3]
@@ -40,11 +39,11 @@
 //	    delays, corrupt bytes) and the agents reconnect through the
 //	    faults until the allocation converges anyway.
 //
-//	acornctl fleet [-agents 1000] [-frame 2] [-server-shards 0]
+//	acornctl fleet [-agents 1000] [-frame 2]
 //	              [-duration 3s] [-report-period 2s] [-heartbeat 5s]
 //	              [-churn 0.1] [-storm 0.1] [-transport pipe] [-json]
 //	    Boot an in-process fleet of reconnecting agents against a real
-//	    sharded controller and measure the control plane at scale:
+//	    controller and measure the control plane at scale:
 //	    convergence time, sustained report rate, push tail latency,
 //	    bytes on the wire, and recovery from connection churn and
 //	    report storms. The default pipe transport needs no file
@@ -149,10 +148,6 @@ func serve(args []string) {
 	allocWorkers := fs.Int("alloc-workers", 0, "parallel rank-evaluation workers for Algorithm 2 (0 = GOMAXPROCS)")
 	assocWorkers := fs.Int("assoc-workers", 0, "parallel roaming-sweep workers for Algorithm 1 (0 = GOMAXPROCS)")
 	shardWorkers := fs.Int("shard-workers", 0, "component-sharded Algorithm 2: solve independent contention components on this many workers (0 = off)")
-	serverShards := fs.Int("server-shards", 0, "inbound accept/IO shards feeding the controller through bounded queues (0 = min(8, GOMAXPROCS))")
-	shardQueue := fs.Int("shard-queue", 0, "per-shard report queue capacity; a full queue sheds oldest-first (0 = default 4096)")
-	spatialIndex := fs.Bool("spatial-index", true, "prune the contention-graph pair scan with the uniform-grid spatial index (exact — the graph is bit-identical; false forces the full O(P²) scan)")
-	gridCellM := fs.Float64("grid-cell-m", 0, "spatial-index grid cell size in meters (0 = the carrier-sense cutoff radius)")
 	stream := fs.Bool("stream", false, "event-driven mode: reallocate the dirty hear-graph neighbourhood on every fresh report instead of waiting for -period")
 	streamDebounce := fs.Duration("stream-debounce", ctlnet.DefaultStreamDebounce, "wake-to-drain delay coalescing report bursts (with -stream; negative disables)")
 	streamWatchdog := fs.Duration("stream-watchdog", 0, "max age of the last full pass before the stream forces one (with -stream; 0 = -period, negative disables)")
@@ -199,10 +194,7 @@ func serve(args []string) {
 	}
 	s.Alloc.Workers = *allocWorkers
 	s.Alloc.ShardWorkers = *shardWorkers
-	s.Alloc.NoSpatialIndex = !*spatialIndex
-	s.Alloc.GridCellM = *gridCellM
 	s.Assoc.Workers = *assocWorkers
-	s.Shards = ctlnet.ShardConfig{N: *serverShards, QueueCap: *shardQueue}
 	s.ReportTTL = *reportTTL
 	s.HelloTimeout = *helloTimeout
 	s.PeerTimeout = *peerTimeout

@@ -83,8 +83,6 @@ func main() {
 	allocWorkers := flag.Int("alloc-workers", 0, "parallel rank-evaluation workers for Algorithm 2 (0 = GOMAXPROCS)")
 	assocWorkers := flag.Int("assoc-workers", 0, "parallel roaming-sweep workers for Algorithm 1 (0 = GOMAXPROCS)")
 	shardWorkers := flag.Int("shard-workers", 0, "component-sharded Algorithm 2: solve independent contention components on this many workers (0 = off)")
-	spatialIndex := flag.Bool("spatial-index", true, "prune the contention-graph pair scan with the uniform-grid spatial index (exact — the graph is bit-identical; false forces the full O(P²) scan)")
-	gridCellM := flag.Float64("grid-cell-m", 0, "spatial-index grid cell size in meters (0 = the carrier-sense cutoff radius)")
 	stream := flag.Bool("stream", false, "solve event-driven: feed each client through the streaming controller as an arrival event instead of one batch AutoConfigure, and report the stream statistics")
 	switchMargin := flag.Float64("switch-margin", core.DefaultGateMargin, "hysteresis: minimum relative goodput gain a channel switch must offer (with -stream; negative disables)")
 	switchStreak := flag.Int("switch-streak", 1, "hysteresis: consecutive evaluations that must propose the same switch before it commits (with -stream; default 1 so a one-shot solve can commit)")
@@ -169,8 +167,6 @@ func main() {
 	}
 	ctrl.Alloc.Workers = *allocWorkers
 	ctrl.Alloc.ShardWorkers = *shardWorkers
-	ctrl.Alloc.NoSpatialIndex = !*spatialIndex
-	ctrl.Alloc.GridCellM = *gridCellM
 	ctrl.Assoc.Workers = *assocWorkers
 	if *tracePath != "" {
 		w := os.Stdout

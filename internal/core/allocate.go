@@ -80,23 +80,23 @@ type AllocOptions struct {
 	// neighbourhood. Both search paths apply it identically; nil means every
 	// AP is eligible (the paper's rule).
 	Only map[string]bool
-	// NoSpatialIndex disables the uniform-grid candidate pruning of the
-	// contention-graph builds (spatial.go); every populated pair then
-	// reaches the exact predicate. The resulting graph — and therefore the
-	// allocation — is bit-identical either way (the index is a conservative
-	// pre-filter); the flag exists as a measurement baseline and an escape
-	// hatch.
-	NoSpatialIndex bool
-	// GridCellM overrides the spatial index's cell size in meters. Zero (the
-	// default) uses the carrier-sense cutoff radius, which makes a
-	// neighborhood query touch at most a 3×3 cell block.
-	GridCellM float64
 	// Partition, when non-nil, lets a sharded solve reuse the association
 	// engine's incrementally maintained contention partition instead of
 	// rebuilding the conflict graph (partition.go). Ignored unless the
 	// handle is valid for exactly the (network, configuration) being solved;
 	// the Controller and StreamController attach it on their own calls.
 	Partition *ContentionPartition
+
+	// noSpatialIndex is a test hook that disables the uniform-grid
+	// candidate pruning of the contention-graph builds (spatial.go), so
+	// every populated pair reaches the exact predicate. The graph is
+	// bit-identical either way; the full scan is the oracle the index is
+	// checked and benchmarked against.
+	noSpatialIndex bool
+	// gridCellM is a test hook overriding the spatial index's cell size in
+	// meters. Zero uses the carrier-sense cutoff radius, which makes a
+	// neighborhood query touch at most a 3×3 cell block.
+	gridCellM float64
 }
 
 // eligible reports whether apID may switch under the Only restriction.

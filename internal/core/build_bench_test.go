@@ -19,9 +19,9 @@ func benchGraphBuild(b *testing.B, opts AllocOptions) {
 		g = buildConflictGraph(n, cfg, 1, opts)
 	}
 	b.StopTimer()
-	if opts.NoSpatialIndex == g.spatial {
-		b.Fatalf("spatial=%v with NoSpatialIndex=%v: wrong build path ran",
-			g.spatial, opts.NoSpatialIndex)
+	if opts.noSpatialIndex == g.spatial {
+		b.Fatalf("spatial=%v with noSpatialIndex=%v: wrong build path ran",
+			g.spatial, opts.noSpatialIndex)
 	}
 	b.ReportMetric(float64(g.pairsScanned), "pairs_scanned")
 	b.ReportMetric(float64(g.pairsPruned), "pairs_pruned")
@@ -38,5 +38,5 @@ func BenchmarkGraphBuildIndexed2000AP(b *testing.B) {
 // exact all-pairs scan — the pre-index baseline the speedup is measured
 // against.
 func BenchmarkGraphBuildFullScan2000AP(b *testing.B) {
-	benchGraphBuild(b, AllocOptions{NoSpatialIndex: true})
+	benchGraphBuild(b, AllocOptions{noSpatialIndex: true})
 }

@@ -20,7 +20,7 @@ package core
 //
 // The prune degrades to the exact full scan whenever no sound cutoff
 // exists: a non-invertible propagation model, a non-finite cutoff, or an
-// explicit opt-out (AllocOptions.NoSpatialIndex). A network with an
+// explicit opt-out (AllocOptions.noSpatialIndex). A network with an
 // explicit contention adjacency (wlan.Network.ContendAdj) has no geometry
 // to prune by and needs none: the builders walk its edge lists instead
 // (adjacencyNeighbors).
@@ -39,7 +39,7 @@ import (
 // pair count. ok=false means no sound cutoff exists and the caller must run
 // the full scan.
 func spatialCandidates(n *wlan.Network, popIdx []int, clientsOf [][]*wlan.Client, opts AllocOptions) (rows [][]int32, scanned int, ok bool) {
-	if opts.NoSpatialIndex || n.ContendAdj != nil || len(popIdx) < 2 {
+	if opts.noSpatialIndex || n.ContendAdj != nil || len(popIdx) < 2 {
 		return nil, 0, false
 	}
 	maxTx := n.APs[popIdx[0]].TxPower
@@ -52,7 +52,7 @@ func spatialCandidates(n *wlan.Network, popIdx []int, clientsOf [][]*wlan.Client
 	if !invertible || math.IsInf(cutoff, 1) || math.IsNaN(cutoff) {
 		return nil, 0, false
 	}
-	cell := opts.GridCellM
+	cell := opts.gridCellM
 	if cell <= 0 {
 		cell = cutoff
 	}

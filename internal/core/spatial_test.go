@@ -98,7 +98,7 @@ func geomSetup(t *testing.T, layout string, nAP, clientsPer int, seed int64) (*w
 
 // TestSpatialGraphEquivalence pins the tentpole contract: for every layout,
 // the spatial-index build's neighbor lists, component partition, and
-// allocState adjacency are identical to the NoSpatialIndex full scan, for
+// allocState adjacency are identical to the noSpatialIndex full scan, for
 // every worker count, and the pair-scan accounting is conserved
 // (scanned + pruned = P·(P−1)/2).
 func TestSpatialGraphEquivalence(t *testing.T) {
@@ -107,9 +107,9 @@ func TestSpatialGraphEquivalence(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", layout, seed), func(t *testing.T) {
 				n, cfg := geomSetup(t, layout, 60, 2, seed)
-				ref := buildConflictGraph(n, cfg, 1, AllocOptions{NoSpatialIndex: true})
+				ref := buildConflictGraph(n, cfg, 1, AllocOptions{noSpatialIndex: true})
 				if ref.spatial {
-					t.Fatal("NoSpatialIndex build claims spatial")
+					t.Fatal("noSpatialIndex build claims spatial")
 				}
 				for _, workers := range []int{1, 2, 8} {
 					g := buildConflictGraph(n, cfg, workers, AllocOptions{})
@@ -128,7 +128,7 @@ func TestSpatialGraphEquivalence(t *testing.T) {
 					}
 				}
 
-				stRef := newAllocState(n, cfg, NewEstimator(n), AllocOptions{NoSpatialIndex: true})
+				stRef := newAllocState(n, cfg, NewEstimator(n), AllocOptions{noSpatialIndex: true})
 				st := newAllocState(n, cfg, NewEstimator(n), AllocOptions{})
 				if !st.spatial {
 					t.Fatal("allocState spatial path did not engage")
@@ -148,9 +148,9 @@ func TestSpatialGraphEquivalence(t *testing.T) {
 // nothing but the bucketing: results stay identical to the full scan.
 func TestSpatialGridCellOverride(t *testing.T) {
 	n, cfg := geomSetup(t, "uniform", 50, 2, 9)
-	ref := buildConflictGraph(n, cfg, 1, AllocOptions{NoSpatialIndex: true})
+	ref := buildConflictGraph(n, cfg, 1, AllocOptions{noSpatialIndex: true})
 	for _, cell := range []float64{7, 150, 1e6} {
-		g := buildConflictGraph(n, cfg, 1, AllocOptions{GridCellM: cell})
+		g := buildConflictGraph(n, cfg, 1, AllocOptions{gridCellM: cell})
 		if !g.spatial {
 			t.Fatalf("cell=%g: spatial path did not engage", cell)
 		}
@@ -164,7 +164,7 @@ func TestSpatialGridCellOverride(t *testing.T) {
 // contention adjacency (wlan.Network.ContendAdj) disables the spatial
 // candidate pass (verdicts are not geometric); the graph builders, the
 // association engine and the sharded solver's subproblems all walk its
-// edge lists, with results identical to a NoSpatialIndex build and to the
+// edge lists, with results identical to a noSpatialIndex build and to the
 // pairwise wlan.Network.Contend oracle.
 func TestSpatialOverrideDispatch(t *testing.T) {
 	n, cfg := geomSetup(t, "uniform", 40, 2, 4)
@@ -184,7 +184,7 @@ func TestSpatialOverrideDispatch(t *testing.T) {
 		t.Fatal("spatialCandidates accepted a network with an explicit adjacency")
 	}
 	g := buildConflictGraph(n, cfg, 2, AllocOptions{})
-	ref := buildConflictGraph(n, cfg, 1, AllocOptions{NoSpatialIndex: true})
+	ref := buildConflictGraph(n, cfg, 1, AllocOptions{noSpatialIndex: true})
 	if g.spatial {
 		t.Fatal("spatial path engaged under an explicit adjacency")
 	}
@@ -255,7 +255,7 @@ func TestSpatialNoInvertibleBound(t *testing.T) {
 	if g.spatial {
 		t.Fatal("spatial path engaged without an invertible propagation bound")
 	}
-	ref := buildConflictGraph(n, cfg, 1, AllocOptions{NoSpatialIndex: true})
+	ref := buildConflictGraph(n, cfg, 1, AllocOptions{noSpatialIndex: true})
 	if !reflect.DeepEqual(g.neighbors, ref.neighbors) {
 		t.Fatal("degenerate-model build diverges")
 	}
@@ -263,7 +263,7 @@ func TestSpatialNoInvertibleBound(t *testing.T) {
 
 // partitionOracle rebuilds components from scratch off the live (n, cfg).
 func partitionOracle(n *wlan.Network, cfg *wlan.Config) [][]int32 {
-	return buildConflictGraph(n, cfg, 1, AllocOptions{NoSpatialIndex: true}).comps
+	return buildConflictGraph(n, cfg, 1, AllocOptions{noSpatialIndex: true}).comps
 }
 
 // TestPartitionTracksChurn drives the association engine through every

@@ -670,17 +670,11 @@ func (s *StreamController) reoptimize(only map[string]bool, bypassStreak bool, c
 		s.bump(func(cs *streamCounters) { cs.genericReopts++ })
 	}
 
-	// Gate and install. Each proposal's relative gain is measured against
-	// the estimate the greedy search held just before that switch.
+	// Gate and install.
 	var next *wlan.Config
 	applied := 0
 	for _, rec := range st.History {
-		pre := rec.Estimate - rec.Rank
-		rel := 0.0
-		if pre > 0 {
-			rel = rec.Rank / pre
-		}
-		if !s.gate.Consider(rec.AP, rec.Channel, rel, bypassStreak) {
+		if !s.gate.ConsiderRecord(rec, bypassStreak) {
 			continue
 		}
 		if next == nil {
@@ -921,6 +915,18 @@ func (g *SwitchGate) Consider(ap string, ch spectrum.Channel, relGain float64, b
 	a.streak = 0
 	g.stats.Approved++
 	return true
+}
+
+// ConsiderRecord replays one switch of a channel search through Consider.
+// The switch's relative gain is its rank against the estimate the greedy
+// search held just before it; a non-positive prior estimate gives zero gain.
+func (g *SwitchGate) ConsiderRecord(rec SwitchRecord, bypassStreak bool) bool {
+	pre := rec.Estimate - rec.Rank
+	rel := 0.0
+	if pre > 0 {
+		rel = rec.Rank / pre
+	}
+	return g.Consider(rec.AP, rec.Channel, rel, bypassStreak)
 }
 
 func (a *gateAP) prune(now time.Time, window time.Duration) {

@@ -205,6 +205,29 @@ func TestSwitchGateHysteresisStreakAndMargin(t *testing.T) {
 	}
 }
 
+// TestSwitchGateConsiderRecord pins the replay rule both streaming
+// pipelines share: a search step's relative gain is its rank over the
+// estimate before it, and a non-positive prior estimate counts as no gain.
+func TestSwitchGateConsiderRecord(t *testing.T) {
+	chs := spectrum.DefaultBand5GHz().AllChannels()
+	g := NewSwitchGate(GateOptions{Margin: 0.05, Streak: -1, RatePerHour: -1}, newVclock().now)
+	for _, rec := range []SwitchRecord{
+		{AP: "ap0", Channel: chs[0], Rank: 10, Estimate: 10}, // prior estimate 0
+		{AP: "ap0", Channel: chs[0], Rank: 10, Estimate: 5},  // prior estimate < 0
+		{AP: "ap0", Channel: chs[0], Rank: 4, Estimate: 104}, // 4/100 < margin
+	} {
+		if g.ConsiderRecord(rec, false) {
+			t.Fatalf("%+v approved without a gain above the margin", rec)
+		}
+	}
+	if st := g.Stats(); st.MarginVetoes != 3 {
+		t.Fatalf("want 3 margin vetoes, got %+v", st)
+	}
+	if !g.ConsiderRecord(SwitchRecord{AP: "ap0", Channel: chs[0], Rank: 6, Estimate: 106}, false) {
+		t.Fatal("6/100 gain above the 0.05 margin vetoed")
+	}
+}
+
 func TestSwitchGateTokenBucketBoundsRate(t *testing.T) {
 	vc := newVclock()
 	chs := spectrum.DefaultBand5GHz().AllChannels()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -268,18 +269,29 @@ func (a *Agent) publish(ch spectrum.Channel) {
 	}
 }
 
+// assignable is every channel of the 5 GHz plan that ctlnet views allocate
+// from: its 20 MHz channels and its bonded 40 MHz pairs.
+var assignable = spectrum.DefaultBand5GHz().AllChannels()
+
+// channelFromAssign decodes an assignment, refusing any channel the plan
+// does not offer. The refusal is errMalformed, so the session drops and the
+// reconnect replays the controller's stored assignment; adopting the bad
+// channel instead would stick, because the controller's outbox never
+// re-sends an assignment it already pushed.
 func channelFromAssign(as *Assign) (spectrum.Channel, error) {
+	var ch spectrum.Channel
 	switch as.WidthMHz {
 	case 20:
-		return spectrum.NewChannel20(spectrum.ChannelID(as.Primary)), nil
+		ch = spectrum.NewChannel20(spectrum.ChannelID(as.Primary))
 	case 40:
-		if as.Secondary == 0 || as.Secondary == as.Primary {
-			return spectrum.Channel{}, fmt.Errorf("ctlnet: malformed 40 MHz assignment")
-		}
-		return spectrum.NewChannel40(spectrum.ChannelID(as.Primary), spectrum.ChannelID(as.Secondary)), nil
+		ch = spectrum.NewChannel40(spectrum.ChannelID(as.Primary), spectrum.ChannelID(as.Secondary))
 	default:
-		return spectrum.Channel{}, fmt.Errorf("ctlnet: bad width %d", as.WidthMHz)
+		return spectrum.Channel{}, fmt.Errorf("ctlnet: bad width %d: %w", as.WidthMHz, errMalformed)
 	}
+	if !slices.Contains(assignable, ch) {
+		return spectrum.Channel{}, fmt.Errorf("ctlnet: assignment %v outside the 5 GHz plan: %w", ch, errMalformed)
+	}
+	return ch, nil
 }
 
 // SendReport streams one measurement report. The APID field is filled in;

@@ -2,6 +2,7 @@ package ctlnet
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -25,16 +26,14 @@ func TestUpdatesCoalesceLatestWins(t *testing.T) {
 	}
 	defer a.Close()
 
-	const n = 30
-	for i := 1; i <= n; i++ {
-		err := writeMsg(srv, &Envelope{Type: TypeAssign, Assign: &Assign{
-			APID: "AP1", WidthMHz: 20, Primary: i,
-		}})
-		if err != nil {
+	// Every channel of the plan once, so each assignment is distinct.
+	chs := spectrum.DefaultBand5GHz().AllChannels()
+	for _, ch := range chs {
+		if err := writeMsg(srv, assignMsg("AP1", ch)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := spectrum.NewChannel20(spectrum.ChannelID(n))
+	want := chs[len(chs)-1]
 	// Wait until the read loop has processed the last assignment.
 	deadline := time.Now().Add(5 * time.Second)
 	for a.Current() != want {
@@ -57,6 +56,62 @@ func TestUpdatesCoalesceLatestWins(t *testing.T) {
 	case got := <-a.Updates():
 		t.Fatalf("second pending update %v; coalescing should leave exactly one", got)
 	default:
+	}
+}
+
+// assignMsg wraps ch as an assignment envelope for apID.
+func assignMsg(apID string, ch spectrum.Channel) *Envelope {
+	return &Envelope{Type: TypeAssign, Assign: &Assign{
+		APID: apID, WidthMHz: int(ch.Width), Primary: int(ch.Primary), Secondary: int(ch.Secondary),
+	}}
+}
+
+// TestAgentRejectsChannelOutsidePlan sends a valid assignment and then
+// ones the 5 GHz plan does not offer: the agent must keep its channel and
+// end the session (so a reconnect can replay the controller's assignment)
+// rather than adopt a channel the controller will never correct.
+func TestAgentRejectsChannelOutsidePlan(t *testing.T) {
+	for _, bad := range []Assign{
+		{WidthMHz: 40, Primary: 60, Secondary: 96}, // 96 is not in the plan
+		{WidthMHz: 40, Primary: 36, Secondary: 44}, // both in the plan, not a bonded pair
+		{WidthMHz: 20, Primary: 1},
+		{WidthMHz: 80, Primary: 36},
+	} {
+		cli, srv := net.Pipe()
+		go func() { _, _ = io.Copy(io.Discard, srv) }()
+		a, err := NewAgent(cli, Hello{APID: "AP1", TxPowerDBm: 18})
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := spectrum.NewChannel40(60, 64)
+		if err := writeMsg(srv, assignMsg("AP1", good)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case got := <-a.Updates():
+			if got != good {
+				t.Fatalf("valid assignment: got %v, want %v", got, good)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("valid assignment never applied (err %v)", a.Err())
+		}
+		bad.APID = "AP1"
+		if err := writeMsg(srv, &Envelope{Type: TypeAssign, Assign: &bad}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-a.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%+v: session still up after an assignment outside the plan", bad)
+		}
+		if got := a.Current(); got != good {
+			t.Fatalf("%+v: agent adopted %v, want %v kept", bad, got, good)
+		}
+		if !errors.Is(a.Err(), errMalformed) {
+			t.Fatalf("%+v: Err() = %v, want errMalformed", bad, a.Err())
+		}
+		a.Close()
+		srv.Close()
 	}
 }
 

@@ -98,8 +98,10 @@ func (e *frameEncoder) finish() ([]byte, error) {
 	return e.buf, nil
 }
 
-func (e *frameEncoder) uint(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *frameEncoder) f64(v float64)  { e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v)) }
+func (e *frameEncoder) uint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *frameEncoder) f64(v float64) {
+	e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
+}
 func (e *frameEncoder) str(s string) {
 	e.uint(uint64(len(s)))
 	e.buf = append(e.buf, s...)

@@ -37,11 +37,11 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add(seed(&Envelope{Type: TypeAssign, Assign: &Assign{APID: "ap-1", WidthMHz: 40, Primary: 36, Secondary: 40}}))
 	f.Add(seed(&Envelope{Type: TypePing, Ping: &Heartbeat{Seq: 9}}))
 	f.Add(seed(&Envelope{Type: TypeFrame, Frame: &FrameInfo{V: FrameV2}}))
-	f.Add([]byte(`{"type":"hello"}` + "\n"))            // type without body
-	f.Add([]byte(`{"type":"warp"}` + "\n"))             // unknown type
-	f.Add([]byte(`{"type":` + "\n"))                    // broken JSON
-	f.Add([]byte("\n"))                                 // empty line
-	f.Add(bytes.Repeat([]byte("a"), 4096))              // no newline at all
+	f.Add([]byte(`{"type":"hello"}` + "\n"))                  // type without body
+	f.Add([]byte(`{"type":"warp"}` + "\n"))                   // unknown type
+	f.Add([]byte(`{"type":` + "\n"))                          // broken JSON
+	f.Add([]byte("\n"))                                       // empty line
+	f.Add(bytes.Repeat([]byte("a"), 4096))                    // no newline at all
 	f.Add([]byte(`{"type":"pong","pong":{"seq":-1}}` + "\n")) // type confusion
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -82,14 +82,8 @@ type Server struct {
 	// mark their AP dirty and a consumer goroutine runs gated,
 	// neighbourhood-restricted passes (see stream.go). Set before Serve.
 	Stream StreamConfig
-	// Shards sizes the inbound accept/IO sharding (see shard.go). The
-	// zero value picks min(8, GOMAXPROCS) shards with default queues.
-	// Set before Serve.
-	Shards ShardConfig
 
-	stream    streamState
-	shardSet  []*shard
-	shardStop chan struct{}
+	stream streamState
 
 	mu          sync.Mutex
 	agents      map[string]*agentConn // by AP ID
@@ -130,11 +124,6 @@ type serverMetrics struct {
 	streamFailures  *obs.Counter
 	streamWatchdog  *obs.Counter
 	streamVetoes    *obs.Counter
-
-	shardReports   *obs.CounterVec
-	shardCoalesced *obs.CounterVec
-	shardShed      *obs.CounterVec
-	shardBatches   *obs.CounterVec
 
 	rxBytes *obs.Counter
 	pushWin *obs.Window
@@ -181,14 +170,6 @@ func (s *Server) m() *serverMetrics {
 				"watchdog-forced full passes in stream mode"),
 			streamVetoes: reg.Counter("acorn_ctlnet_stream_switch_vetoes_total",
 				"proposed channel switches the anti-flap gate refused"),
-			shardReports: reg.CounterVec("acorn_ctlnet_shard_reports_total",
-				"reports entering each inbound shard queue", "shard"),
-			shardCoalesced: reg.CounterVec("acorn_ctlnet_shard_reports_coalesced_total",
-				"reports coalesced latest-wins in a shard queue before apply", "shard"),
-			shardShed: reg.CounterVec("acorn_ctlnet_shard_reports_shed_total",
-				"reports shed oldest-first from a full shard queue", "shard"),
-			shardBatches: reg.CounterVec("acorn_ctlnet_shard_batches_total",
-				"report batches each shard pump applied to the controller", "shard"),
 			rxBytes: reg.Counter("acorn_ctlnet_server_rx_bytes_total",
 				"bytes read from agent connections"),
 			pushWin: obs.NewWindow(15*time.Minute, 15, nil, nil),
@@ -204,8 +185,8 @@ func (s *Server) m() *serverMetrics {
 				"assignment pushes dropped because the connection already holds that assignment"),
 			pushCoalesced: reg.Counter("acorn_ctlnet_pushes_coalesced_total",
 				"queued assignment pushes replaced latest-wins before hitting the wire"),
-			pushErrors:  s.metrics.pushErrors,
-			pushWin:     s.metrics.pushWin,
+			pushErrors: s.metrics.pushErrors,
+			pushWin:    s.metrics.pushWin,
 		}
 		reg.GaugeFunc("acorn_ctlnet_last_reallocation_age_seconds",
 			"seconds since the last successful reallocation (-1 before the first)",
@@ -300,30 +281,14 @@ func (s *Server) stormLogger() *obs.Logger {
 	return s.stormLog
 }
 
-// Serve accepts connections on l until the listener is closed. It returns
-// the listener's terminal error (net.ErrClosed after Close). Connections
-// are spread over the configured accept/IO shards: shard 0's accept loop
-// runs on the calling goroutine, the rest run concurrently against the
-// same listener.
+// Serve accepts connections on l until the listener is closed, running
+// each agent session on its own goroutine. It returns the listener's
+// terminal error (net.ErrClosed after Close).
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	s.listener = l
 	s.mu.Unlock()
 	s.startStream()
-	shards := s.startShards()
-	for _, sh := range shards[1:] {
-		sh := sh
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.acceptLoop(l, sh)
-		}()
-	}
-	return s.acceptLoop(l, shards[0])
-}
-
-// acceptLoop accepts connections for one shard until the listener fails.
-func (s *Server) acceptLoop(l net.Listener, sh *shard) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -332,7 +297,7 @@ func (s *Server) acceptLoop(l net.Listener, sh *shard) error {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.handle(conn, sh)
+			s.handle(conn)
 		}()
 	}
 }
@@ -349,7 +314,6 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.stopStream()
-	s.stopShards()
 	var err error
 	if l != nil {
 		err = l.Close()
@@ -363,10 +327,10 @@ func (s *Server) Close() error {
 
 // handle runs one agent session: hello, then a stream of reports and pings.
 // Every accepted connection gets a read deadline before the first byte is
-// read, so a mute client cannot pin this goroutine. Reports are handed to
-// the session's shard queue (applied asynchronously by the shard pump);
-// all outbound traffic goes through the per-connection outbox.
-func (s *Server) handle(conn net.Conn, sh *shard) {
+// read, so a mute client cannot pin this goroutine. Reports are applied to
+// the controller's report table as they arrive; all outbound traffic goes
+// through the per-connection outbox.
+func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	if d := timeout(s.HelloTimeout, DefaultHelloTimeout); d > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(d))
@@ -473,11 +437,41 @@ func (s *Server) handle(conn net.Conn, sh *shard) {
 				ob.sendError("report for foreign AP id")
 				return
 			}
-			sh.offer(hello.APID, *env.Report, time.Now())
+			s.applyReport(hello.APID, *env.Report, time.Now())
 		default:
 			ob.sendError("unexpected message")
 			return
 		}
+	}
+}
+
+// applyReport installs one report into the controller's report table,
+// preserving the per-AP sequence discipline: an out-of-order report is
+// dropped as stale, an equal sequence is a reconnect replay that keeps its
+// original receive time (no TTL laundering), and a fresh report marks its
+// AP dirty in stream mode.
+func (s *Server) applyReport(apID string, rep Report, recv time.Time) {
+	m := s.m()
+	s.mu.Lock()
+	prev, had := s.reports[apID]
+	if had && rep.Seq != 0 && rep.Seq < prev.rep.Seq {
+		s.mu.Unlock()
+		m.reportsStale.Inc()
+		s.stormLogger().Warn("ignoring stale report", "ap", apID, "seq", rep.Seq, "stored", prev.rep.Seq)
+		return
+	}
+	replay := had && rep.Seq != 0 && rep.Seq == prev.rep.Seq
+	if replay {
+		recv = prev.recv
+	}
+	s.reports[apID] = storedReport{rep: rep, recv: recv}
+	s.mu.Unlock()
+	m.reportsTotal.Inc()
+	if replay {
+		m.reportsReplayed.Inc()
+	} else if s.Stream.Enabled {
+		// markDirty takes the stream lock, so it runs after s.mu is released.
+		s.markDirty(apID, recv)
 	}
 }
 
@@ -700,27 +694,16 @@ func (s *Server) reallocate(only map[string]bool, bypassStreak bool, pspan obs.S
 // gateAndInstall turns a search result into the assignment to store and
 // push. Without a switch gate (stream mode off) the search result is taken
 // wholesale. With one, previously assigned APs keep their channel unless
-// the gate approves the switch — each proposal's relative gain is the
-// greedy step's rank against the estimate just before it, mirroring the
-// in-process StreamController — while an AP's first-ever assignment passes
-// ungated (there is nothing to flap from). Never-assigned APs outside a
-// restricted pass's eligible set get no assignment at all: their search
-// channel is just the random seed, not a decision.
+// the gate approves the switch (SwitchGate.ConsiderRecord, the rule the
+// in-process StreamController replays too), while an AP's first-ever
+// assignment passes ungated (there is nothing to flap from). Never-assigned
+// APs outside a restricted pass's eligible set get no assignment at all:
+// their search channel is just the random seed, not a decision.
 func (s *Server) gateAndInstall(prevAssign map[string]spectrum.Channel, only map[string]bool,
 	bypassStreak bool, proposed map[string]spectrum.Channel, history []core.SwitchRecord) map[string]spectrum.Channel {
 	s.stream.mu.Lock()
-	gate := s.stream.gate
+	gate := s.gateLocked()
 	s.stream.mu.Unlock()
-	if gate == nil && s.Stream.Enabled {
-		// Reallocate before Serve: bind the gate so hysteresis state is
-		// shared once the consumer starts.
-		s.stream.mu.Lock()
-		if s.stream.gate == nil {
-			s.stream.gate = core.NewSwitchGate(s.Stream.Gate, nil)
-		}
-		gate = s.stream.gate
-		s.stream.mu.Unlock()
-	}
 	out := make(map[string]spectrum.Channel, len(proposed))
 	if gate == nil {
 		for apID, ch := range proposed {
@@ -740,12 +723,7 @@ func (s *Server) gateAndInstall(prevAssign map[string]spectrum.Channel, only map
 		if _, had := prevAssign[rec.AP]; !had {
 			continue
 		}
-		pre := rec.Estimate - rec.Rank
-		rel := 0.0
-		if pre > 0 {
-			rel = rec.Rank / pre
-		}
-		if gate.Consider(rec.AP, rec.Channel, rel, bypassStreak) {
+		if gate.ConsiderRecord(rec, bypassStreak) {
 			if out[rec.AP] != rec.Channel {
 				out[rec.AP] = rec.Channel
 				applied++

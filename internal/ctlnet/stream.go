@@ -111,9 +111,7 @@ func (s *Server) startStream() {
 	if st.stopc != nil {
 		return
 	}
-	if st.gate == nil {
-		st.gate = core.NewSwitchGate(s.Stream.Gate, nil)
-	}
+	s.gateLocked()
 	if st.dirty == nil {
 		st.dirty = make(map[string]bool)
 	}
@@ -122,6 +120,16 @@ func (s *Server) startStream() {
 	st.lastFull = time.Now()
 	s.wg.Add(1)
 	go s.runStream(st.stopc, st.wake)
+}
+
+// gateLocked returns the stream-mode switch gate, building it on first use
+// so a Reallocate before Serve and the consumer share one hysteresis state.
+// Nil when stream mode is off. The caller holds s.stream.mu.
+func (s *Server) gateLocked() *core.SwitchGate {
+	if s.stream.gate == nil && s.Stream.Enabled {
+		s.stream.gate = core.NewSwitchGate(s.Stream.Gate, nil)
+	}
+	return s.stream.gate
 }
 
 // stopStream stops the consumer; Close's wg.Wait joins it.

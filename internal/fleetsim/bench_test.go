@@ -54,7 +54,6 @@ func BenchmarkFleetConverge10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := Run(context.Background(), Options{
 			Agents:         10000,
-			Shards:         8,
 			Duration:       10 * time.Second,
 			ReportInterval: 2 * time.Second,
 			Heartbeat:      5 * time.Second,
@@ -70,16 +69,12 @@ func BenchmarkFleetConverge10k(b *testing.B) {
 		if res.MembershipLost != 0 {
 			b.Fatalf("controller lost %d memberships", res.MembershipLost)
 		}
-		if res.ShardShed != 0 {
-			b.Fatalf("%d reports shed", res.ShardShed)
-		}
 		b.ReportMetric(res.ConvergeTime.Seconds(), "converge_s")
 		b.ReportMetric(float64(res.Agents)/res.ConvergeTime.Seconds(), "agents_per_s")
 		b.ReportMetric(float64(res.PushP50.Microseconds())/1000, "push_p50_ms")
 		b.ReportMetric(float64(res.PushP99.Microseconds())/1000, "push_p99_ms")
 		b.ReportMetric(res.ReportsPerSec, "reports_per_s")
 		b.ReportMetric(float64(res.BytesOnWire), "bytes_on_wire")
-		b.ReportMetric(float64(res.ShardCoalesced), "shard_coalesced")
 		b.ReportMetric(float64(res.Resets), "resets")
 	}
 }

@@ -30,8 +30,7 @@ func waitGoroutines(t *testing.T, before int) {
 
 // TestFleetConverges is the smoke fleet: a few hundred v2 agents over the
 // in-memory transport boot, report, and converge to the controller's
-// assignment table, with zero membership loss and zero shed reports. This
-// is the target `make fleet-bench-smoke` runs.
+// assignment table, with zero membership loss. This is the target `make fleet-bench-smoke` runs.
 func TestFleetConverges(t *testing.T) {
 	before := runtime.NumGoroutine()
 	agents := 200
@@ -52,9 +51,6 @@ func TestFleetConverges(t *testing.T) {
 	}
 	if res.MembershipLost != 0 {
 		t.Fatalf("controller lost %d memberships", res.MembershipLost)
-	}
-	if res.ShardShed != 0 {
-		t.Fatalf("%d reports shed from well-sized shard queues", res.ShardShed)
 	}
 	if res.BytesOnWire == 0 {
 		t.Fatal("no bytes measured on the wire")

@@ -6,8 +6,8 @@
 // The default transport is in-memory pipes: at 10-50k agents a TCP fleet
 // would need two file descriptors per agent (past typical ulimits) and
 // measure the loopback stack as much as the control plane. net.Pipe keeps
-// the whole protocol path — framing, batching, outboxes, shard queues —
-// while staying fd-free. A "tcp" transport is available for smaller,
+// the whole protocol path — framing, batching, outboxes — while staying
+// fd-free. A "tcp" transport is available for smaller,
 // more end-to-end runs.
 package fleetsim
 
@@ -24,8 +24,7 @@ func (memAddr) Network() string { return "mem" }
 func (memAddr) String() string  { return "mem:fleet" }
 
 // memListener is a net.Listener whose Dial side hands the server half of a
-// net.Pipe to Accept. Accept and Dial are both safe for concurrent use,
-// matching the server's sharded accept loops.
+// net.Pipe to Accept. Accept and Dial are both safe for concurrent use.
 type memListener struct {
 	ch     chan net.Conn
 	closed chan struct{}

@@ -46,11 +46,6 @@ func TestFleetStorm(t *testing.T) {
 	if want := uint64(agents) + res.Resets; res.Sessions < want {
 		t.Fatalf("sessions = %d, want >= %d (boot + reconnects)", res.Sessions, want)
 	}
-	// Storm bursts overrun the per-connection outbox and shard queues by
-	// design; latest-wins coalescing (not shedding) must absorb them.
-	if res.ShardShed != 0 {
-		t.Fatalf("%d reports shed; storms must coalesce, not shed", res.ShardShed)
-	}
 	if res.PushErrors > res.Resets {
 		t.Fatalf("push errors (%d) exceed connection resets (%d)", res.PushErrors, res.Resets)
 	}
