@@ -10,12 +10,12 @@ BUILD_DIR ?= build
 # build, or a fresh module fetch, in that order.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build fmt vet staticcheck test race bench bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench fleet-bench-smoke stream-chaos obs-smoke cover experiments clean
+.PHONY: all build fmt vet perfbench-check staticcheck test race bench bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench fleet-bench-smoke stream-chaos obs-smoke cover experiments clean
 
 # The default check path race-checks everything: the control plane is
 # deliberately concurrent (heartbeats, reconnect supervisors, chaos tests),
 # so plain `make` must catch data races, not just failures.
-all: build fmt vet staticcheck test race bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench-smoke stream-chaos obs-smoke
+all: build fmt vet perfbench-check staticcheck test race bench-smoke alloc-bench-smoke assoc-bench-smoke shard-bench-smoke stream-bench-smoke trace-bench-smoke build-bench-smoke fleet-bench-smoke stream-chaos obs-smoke
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is a module of its own (it builds against the sources beside
+# it), so the root build, vet and test skip it. Vet and test it here so a
+# change to a ctlnet or core name it uses fails the default check path.
+perfbench-check:
+	cd perfbench && GOFLAGS= GOPROXY=off $(GO) vet . && GOFLAGS= GOPROXY=off $(GO) test -count=1 .
 
 # Static analysis beyond vet. Resolution order: a staticcheck already on
 # PATH, the pinned copy under $(BUILD_DIR)/bin, or a fresh pinned install

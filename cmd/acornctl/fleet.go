@@ -66,7 +66,7 @@ func fleet(args []string) {
 		res.Resets, res.Sessions, res.MembershipLost)
 	if len(res.ReallocStages) > 0 {
 		fmt.Printf("  realloc stages:")
-		for _, st := range []string{"queue", "view", "assoc", "alloc", "gate", "push"} {
+		for _, st := range []string{"queue", "view", "alloc", "gate", "push"} {
 			if ns, ok := res.ReallocStages[st]; ok {
 				fmt.Printf(" %s=%v", st, time.Duration(ns).Round(time.Microsecond))
 			}

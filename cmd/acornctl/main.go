@@ -2,7 +2,7 @@
 //
 //	acornctl serve -addr :7431 [-period 30m] [-report-ttl 3h]
 //	              [-hello-timeout 10s] [-peer-timeout 90s]
-//	              [-stream] [-stream-debounce 25ms] [-stream-watchdog 0]
+//	              [-stream] [-stream-watchdog 0]
 //	              [-switch-margin 0.02] [-switch-streak 2]
 //	              [-switch-rate 12] [-switch-burst 3]
 //	    Run the central controller: accept agent connections and
@@ -60,7 +60,7 @@
 //	    recent spans with per-stage latency breakdowns plus SLO status.
 //
 // serve also accepts -trace-sample N (record every Nth reallocation pass
-// as a span: queue/view/assoc/alloc/gate/push stage timings at
+// as a span: queue/view/alloc/gate/push stage timings at
 // /debug/trace) and, with -stream, -slo-p99-ms B (watch the windowed p99
 // of receipt-to-push latency against a budget of B ms at /debug/slo,
 // optionally capturing a CPU profile to -slo-profile on breach).
@@ -146,10 +146,8 @@ func serve(args []string) {
 	logLevel := fs.String("log-level", "info", "log threshold: debug|info|warn|error|off")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /healthz, /debug/vars and pprof on this address")
 	allocWorkers := fs.Int("alloc-workers", 0, "parallel rank-evaluation workers for Algorithm 2 (0 = GOMAXPROCS)")
-	assocWorkers := fs.Int("assoc-workers", 0, "parallel roaming-sweep workers for Algorithm 1 (0 = GOMAXPROCS)")
 	shardWorkers := fs.Int("shard-workers", 0, "component-sharded Algorithm 2: solve independent contention components on this many workers (0 = off)")
 	stream := fs.Bool("stream", false, "event-driven mode: reallocate the dirty hear-graph neighbourhood on every fresh report instead of waiting for -period")
-	streamDebounce := fs.Duration("stream-debounce", ctlnet.DefaultStreamDebounce, "wake-to-drain delay coalescing report bursts (with -stream; negative disables)")
 	streamWatchdog := fs.Duration("stream-watchdog", 0, "max age of the last full pass before the stream forces one (with -stream; 0 = -period, negative disables)")
 	switchMargin := fs.Float64("switch-margin", core.DefaultGateMargin, "hysteresis: minimum relative goodput gain a channel switch must offer (with -stream; negative disables)")
 	switchStreak := fs.Int("switch-streak", core.DefaultGateStreak, "hysteresis: consecutive evaluations that must propose the same switch before it commits (with -stream)")
@@ -194,7 +192,6 @@ func serve(args []string) {
 	}
 	s.Alloc.Workers = *allocWorkers
 	s.Alloc.ShardWorkers = *shardWorkers
-	s.Assoc.Workers = *assocWorkers
 	s.ReportTTL = *reportTTL
 	s.HelloTimeout = *helloTimeout
 	s.PeerTimeout = *peerTimeout
@@ -205,7 +202,6 @@ func serve(args []string) {
 		}
 		s.Stream = ctlnet.StreamConfig{
 			Enabled:        true,
-			Debounce:       *streamDebounce,
 			WatchdogPeriod: wd,
 			Gate: core.GateOptions{
 				Margin:      *switchMargin,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"sort"
@@ -28,6 +29,12 @@ const (
 	DefaultWriteTimeout = 10 * time.Second
 )
 
+// The transmit power a hello may claim; 36 dBm is the 5 GHz EIRP ceiling.
+const (
+	minTxPowerDBm = -10
+	maxTxPowerDBm = 36
+)
+
 // Server is the central ACORN controller. It accepts agent connections,
 // maintains the latest report per AP, and on Reallocate rebuilds a
 // measurement-driven network view, runs Algorithm 2, and pushes the new
@@ -42,9 +49,6 @@ type Server struct {
 	// Alloc tunes Algorithm 2 (worker count, period/switch bounds) for
 	// every Reallocate. The zero value keeps the defaults.
 	Alloc core.AllocOptions
-	// Assoc tunes the Algorithm 1 roaming sweep run over the measurement
-	// view before each allocation. The zero value keeps the defaults.
-	Assoc core.AssocOptions
 	// Log, when non-nil, receives leveled diagnostic lines (connects and
 	// disconnects at info, protocol trouble and quarantines at warn).
 	Log *obs.Logger
@@ -360,6 +364,12 @@ func (s *Server) handle(conn net.Conn) {
 		s.reject(conn, "empty AP id")
 		return
 	}
+	// NaN fails both comparisons.
+	if p := hello.TxPowerDBm; !(p >= minTxPowerDBm && p <= maxTxPowerDBm) {
+		m.helloRejects.Inc()
+		s.reject(conn, "tx power out of range")
+		return
+	}
 	ob := newOutbox(conn, timeout(s.WriteTimeout, DefaultWriteTimeout), m.outm)
 	wantV2 := hello.Frame >= FrameV2
 	if wantV2 {
@@ -437,6 +447,10 @@ func (s *Server) handle(conn net.Conn) {
 				ob.sendError("report for foreign AP id")
 				return
 			}
+			if !finiteSNRs(env.Report) {
+				ob.sendError("non-finite client SNR")
+				return
+			}
 			s.applyReport(hello.APID, *env.Report, time.Now())
 		default:
 			ob.sendError("unexpected message")
@@ -473,6 +487,18 @@ func (s *Server) applyReport(apID string, rep Report, recv time.Time) {
 		// markDirty takes the stream lock, so it runs after s.mu is released.
 		s.markDirty(apID, recv)
 	}
+}
+
+// finiteSNRs reports whether every client SNR in rep is a finite number.
+// v2 frames carry raw float64 bits, so NaN and ±Inf can arrive; the view
+// would calibrate walls from them.
+func finiteSNRs(rep *Report) bool {
+	for _, c := range rep.Clients {
+		if math.IsNaN(c.SNR20dB) || math.IsInf(c.SNR20dB, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Server) reject(conn net.Conn, reason string) {
@@ -570,10 +596,10 @@ func (s *Server) Reallocate() (map[string]spectrum.Channel, error) {
 // keep the AP's previous assignment.
 //
 // pspan is the caller's pass span (a dead ref when tracing is off): the
-// stage boundaries crossed here — view build, association sweep, channel
-// search, gating, pushes — are marked into it, and the search's rank-
-// evaluation time is attributed. The caller Ends the span; an errored pass
-// leaves it unfinished, which the tracer never exports.
+// stage boundaries crossed here — view build, channel search, gating,
+// pushes — are marked into it, and the search's rank-evaluation time is
+// attributed. The caller Ends the span; an errored pass leaves it
+// unfinished, which the tracer never exports.
 func (s *Server) reallocate(only map[string]bool, bypassStreak bool, pspan obs.SpanRef) (map[string]spectrum.Channel, error) {
 	m := s.m()
 	span := m.reg.Histogram("acorn_ctlnet_reallocate_seconds",
@@ -627,27 +653,6 @@ func (s *Server) reallocate(only map[string]bool, bypassStreak bool, pspan obs.S
 	}
 	s.mu.Unlock()
 	pspan.Mark(PassStageView)
-	// Re-run Algorithm 1 over the view before allocating, so the channel
-	// search prices the associations the view's geometry actually supports.
-	// Today's views anchor every client next to its reporting AP, so this
-	// is a consistency pass (zero moves); richer views — shared clients,
-	// triangulated positions — make it load-bearing. Sorted client order
-	// keeps the sweep deterministic.
-	viewClients := append([]*wlan.Client(nil), n.Clients...)
-	sort.Slice(viewClients, func(i, j int) bool { return viewClients[i].ID < viewClients[j].ID })
-	reported := make(map[string]string, len(cfg.Assoc))
-	for id, apID := range cfg.Assoc {
-		reported[id] = apID
-	}
-	moves := 0
-	for _, d := range core.RoamSweep(n, cfg, viewClients, 0.05, s.Assoc) {
-		if d.APID != "" && d.APID != reported[d.ClientID] {
-			moves++
-		}
-	}
-	m.reg.Counter("acorn_ctlnet_view_roam_moves_total",
-		"clients the pre-allocation roaming sweep moved away from their reported AP").Add(uint64(moves))
-	pspan.Mark(PassStageAssoc)
 	est := core.NewEstimator(n)
 	opts := s.Alloc
 	opts.Only = only
@@ -747,6 +752,11 @@ func (s *Server) gateAndInstall(prevAssign map[string]spectrum.Channel, only map
 // client is placed near its AP with an obstruction loss calibrated to the
 // reported SNR, and the contention relation is the reported hear-graph
 // (symmetrized).
+//
+// The anchors sit 10 km apart, so at any TxPower a hello may claim
+// (minTxPowerDBm..maxTxPowerDBm) no client hears a foreign AP: its
+// association is the one its AP reported, and the view needs no
+// Algorithm 1 pass.
 func buildView(hellos map[string]Hello, reports map[string]Report) (*wlan.Network, *wlan.Config) {
 	ids := make([]string, 0, len(hellos))
 	for id := range hellos {

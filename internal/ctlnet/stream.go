@@ -26,12 +26,12 @@ import (
 	"acorn/internal/obs"
 )
 
-// Default stream-mode tuning.
+// Stream-mode tuning.
 const (
-	// DefaultStreamDebounce is how long the consumer waits after a wake-up
-	// before draining the dirty set, so a report storm coalesces into one
+	// streamDebounce is how long the consumer waits after a wake-up before
+	// draining the dirty set, so a report storm coalesces into one
 	// neighbourhood pass.
-	DefaultStreamDebounce = 25 * time.Millisecond
+	streamDebounce = 25 * time.Millisecond
 	// DefaultStreamWatchdog bounds how stale the last full pass may get
 	// before the consumer forces one.
 	DefaultStreamWatchdog = 2 * time.Minute
@@ -45,18 +45,11 @@ type StreamConfig struct {
 	// Gate parameterizes the anti-flap switch gate shared by the streaming
 	// and full passes. The zero value takes core's defaults.
 	Gate core.GateOptions
-	// Debounce is the wake-to-drain delay that coalesces report bursts.
-	// Zero means DefaultStreamDebounce; negative disables.
-	Debounce time.Duration
 	// WatchdogPeriod bounds the age of the last successful full pass; past
 	// it the consumer forces one (bypassing the streak hysteresis, so
 	// sustained-but-vetoed improvements eventually land). Zero means
 	// DefaultStreamWatchdog; negative disables the watchdog.
 	WatchdogPeriod time.Duration
-}
-
-func (c StreamConfig) debounce() time.Duration {
-	return timeout(c.Debounce, DefaultStreamDebounce)
 }
 
 func (c StreamConfig) watchdogPeriod() time.Duration {
@@ -250,14 +243,12 @@ func (s *Server) runStream(stopc chan struct{}, wake chan struct{}) {
 		case <-stopc:
 			return
 		case <-wake:
-			if d := s.Stream.debounce(); d > 0 {
-				timer := time.NewTimer(d)
-				select {
-				case <-stopc:
-					timer.Stop()
-					return
-				case <-timer.C:
-				}
+			timer := time.NewTimer(streamDebounce)
+			select {
+			case <-stopc:
+				timer.Stop()
+				return
+			case <-timer.C:
 			}
 			s.streamPass()
 		case <-tick.C:

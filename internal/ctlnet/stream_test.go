@@ -138,7 +138,6 @@ func streamServer(t *testing.T, cfg StreamConfig, inj *faultnet.Injector, config
 func TestStreamModeReallocatesOnReports(t *testing.T) {
 	s, addr := streamServer(t, StreamConfig{
 		Enabled:        true,
-		Debounce:       5 * time.Millisecond,
 		WatchdogPeriod: -1,
 		Gate:           core.GateOptions{Streak: 1, RatePerHour: 3600, Burst: 100},
 	}, nil, nil)
@@ -224,7 +223,6 @@ func TestStreamChaosStorm(t *testing.T) {
 	})
 	s, addr := streamServer(t, StreamConfig{
 		Enabled:        true,
-		Debounce:       10 * time.Millisecond,
 		WatchdogPeriod: 2 * time.Second,
 		Gate: core.GateOptions{
 			RatePerHour: ratePerHour,

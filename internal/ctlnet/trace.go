@@ -4,8 +4,8 @@ package ctlnet
 // reallocation pass — from the earliest report receipt that triggered it
 // (stream mode) or the call itself (full pass) to the last assignment
 // push — so a finished span attributes the whole receive-to-push path:
-// queue/debounce wait, measurement-view build, the association sweep, the
-// channel search, gating, and the network pushes.
+// queue/debounce wait, measurement-view build, the channel search,
+// gating, and the network pushes.
 
 import (
 	"time"
@@ -21,8 +21,6 @@ const (
 	// PassStageView: report snapshot, TTL quarantine, and the
 	// measurement-view build (buildView + search seeding).
 	PassStageView
-	// PassStageAssoc: the pre-allocation Algorithm 1 roaming sweep.
-	PassStageAssoc
 	// PassStageAlloc: the Algorithm 2 channel search.
 	PassStageAlloc
 	// PassStageGate: anti-flap gate verdicts and assignment install.
@@ -38,7 +36,7 @@ const (
 
 // ServerTraceStages names the pass stages, indexed by the constants above.
 var ServerTraceStages = []string{
-	"queue", "view", "assoc", "alloc", "gate", "push", "final",
+	"queue", "view", "alloc", "gate", "push", "final",
 }
 
 // Attribution bucket indices (names in ServerTraceAttrs).

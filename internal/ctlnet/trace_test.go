@@ -21,9 +21,8 @@ func TestStreamPassSpansAndSLO(t *testing.T) {
 	s := NewServer(1)
 	s.Obs = obs.NewRegistry()
 	s.Stream = StreamConfig{
-		Enabled:  true,
-		Debounce: time.Millisecond,
-		Gate:     core.GateOptions{Streak: 1},
+		Enabled: true,
+		Gate:    core.GateOptions{Streak: 1},
 	}
 	s.Tracer = NewServerTracer(64, 1, nil)
 	s.SLO = obs.NewSLO(obs.SLOOptions{Name: "ctlnet_pass_p99", Budget: time.Hour})

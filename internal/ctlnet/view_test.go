@@ -73,3 +73,54 @@ func TestBuildViewHearAdjacency(t *testing.T) {
 		t.Fatalf("pass pruned %d pairs, want %d", got, p*(p-1)/2-edges)
 	}
 }
+
+// TestBuildViewClientsHearOnlyHome pins the invariant that lets a pass
+// skip Algorithm 1: in a buildView view no client hears a foreign AP, so
+// the association each AP reports is the only one the view supports. APs
+// alternate between the ends of the accepted TxPower range, and reported
+// SNRs run from below the association floor to far above any real link.
+// A client below the floor hears nothing, which leaves its reported
+// association standing too.
+func TestBuildViewClientsHearOnlyHome(t *testing.T) {
+	const p = 8
+	snrs := []float64{-40, -4, 0, 10, 25, 40, 60, 100}
+	hellos := make(map[string]Hello, p)
+	reports := make(map[string]Report, p)
+	for i := 0; i < p; i++ {
+		id := fmt.Sprintf("AP%d", i)
+		power := float64(minTxPowerDBm)
+		if i%2 == 1 {
+			power = maxTxPowerDBm
+		}
+		hellos[id] = Hello{APID: id, TxPowerDBm: power}
+		rep := report(nil, snrs...)
+		rep.APID = id
+		reports[id] = rep
+	}
+	n, cfg := buildView(hellos, reports)
+	floor := float64(n.AssocMinSNR)
+	for _, ap := range n.APs {
+		for i, snr := range snrs {
+			c := n.Client(ap.ID + "/" + clientName(i))
+			if home := cfg.Assoc[c.ID]; home != ap.ID {
+				t.Fatalf("client %s associated to %q, want its reporting AP %s", c.ID, home, ap.ID)
+			}
+			in := n.APsInRange(c)
+			if snr < floor {
+				if len(in) != 0 {
+					t.Fatalf("client %s (SNR %v, %v AP) below the floor hears %s",
+						c.ID, snr, ap.TxPower, in[0].ID)
+				}
+				continue
+			}
+			if len(in) != 1 || in[0] != ap {
+				ids := make([]string, len(in))
+				for k, a := range in {
+					ids[k] = a.ID
+				}
+				t.Fatalf("client %s (SNR %v, %v AP) hears %v, want only %s",
+					c.ID, snr, ap.TxPower, ids, ap.ID)
+			}
+		}
+	}
+}

@@ -134,7 +134,7 @@ type Result struct {
 	MembershipLost int `json:"membership_lost"`
 
 	// ReallocStages breaks the final full reallocation pass into traced
-	// stage nanoseconds (view/assoc/alloc/gate/push), from the PR-8
+	// stage nanoseconds (view/alloc/gate/push), from the server's pass
 	// tracer.
 	ReallocStages map[string]int64 `json:"realloc_stages,omitempty"`
 }
