@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"acorn/internal/phy"
+	"acorn/internal/spectrum"
 )
 
 func TestFrameOverheadPositive(t *testing.T) {
@@ -172,5 +175,26 @@ func TestTCPEfficiency(t *testing.T) {
 	}
 	if TCPEfficiency(2) != TCPEfficiency(1) {
 		t.Error("PER above 1 should clamp")
+	}
+}
+
+// TestGoodputBoundAtZeroPER pins the property the rate-control search
+// prunes with: losses and retries never shorten the per-client delay, so
+// the goodput an MCS reaches at PER 0 bounds its goodput at any PER.
+func TestGoodputBoundAtZeroPER(t *testing.T) {
+	pers := []float64{0, math.SmallestNonzeroFloat64, 1e-300, 1e-9, 0.5, math.Nextafter(1, 0), 1}
+	for _, w := range []spectrum.Width{spectrum.Width20, spectrum.Width40} {
+		for _, m := range phy.MCSTable() {
+			rate := phy.NominalRateMbps(m, w, false)
+			for _, pb := range []int{0, 64, 1500, 65535} {
+				bound := 1 / ClientDelay(pb, rate, 0)
+				for _, per := range pers {
+					if g := 1 / ClientDelay(pb, rate, per); g > bound {
+						t.Errorf("%v %v pb %d: goodput %v at PER %v above its PER-0 bound %v",
+							m, w, pb, g, per, bound)
+					}
+				}
+			}
+		}
 	}
 }

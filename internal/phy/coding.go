@@ -62,7 +62,8 @@ type codeSpectrum struct {
 	bd    []float64
 }
 
-var codeSpectra = map[CodeRate]codeSpectrum{
+// codeSpectra is indexed by CodeRate.
+var codeSpectra = [...]codeSpectrum{
 	Rate12: {dFree: 10, bd: []float64{36, 0, 211, 0, 1404, 0, 11633, 0, 77433, 0}},
 	Rate23: {dFree: 6, bd: []float64{3, 70, 285, 1276, 6160, 27128, 117019}},
 	Rate34: {dFree: 5, bd: []float64{42, 201, 1492, 10469, 62935, 379546, 2252394}},
@@ -82,10 +83,10 @@ func CodedBER(m Modulation, r CodeRate, snr units.DB) float64 {
 	if es <= 0 {
 		return 0.5
 	}
-	spec, ok := codeSpectra[r]
-	if !ok {
+	if r < 0 || int(r) >= len(codeSpectra) {
 		panic(fmt.Sprintf("phy: unknown code rate %d", int(r)))
 	}
+	spec := &codeSpectra[r]
 	// Per information-bit SNR after despreading the symbol energy across
 	// coded bits: γb = Es/N0 / (log2(M) · R).
 	gammaB := es / (float64(m.BitsPerSymbol()) * r.Value())

@@ -59,29 +59,32 @@ var mcsBase = []struct {
 	{QAM64, Rate56}, // MCS 7
 }
 
-// MCSTable returns the 16-entry MCS table of a 2-antenna 802.11n device
-// (MCS 0–7 single stream, MCS 8–15 two streams).
-func MCSTable() []MCS {
-	table := make([]MCS, 0, 16)
+// mcsTable is the 16-entry table, built once: MCSByIndex and the
+// rate-control search index it without allocating.
+var mcsTable = func() (t [16]MCS) {
 	for s := 1; s <= 2; s++ {
 		for i, b := range mcsBase {
-			table = append(table, MCS{
-				Index:      (s-1)*8 + i,
-				Modulation: b.mod,
-				Rate:       b.rate,
-				Streams:    s,
-			})
+			idx := (s-1)*8 + i
+			t[idx] = MCS{Index: idx, Modulation: b.mod, Rate: b.rate, Streams: s}
 		}
 	}
-	return table
+	return t
+}()
+
+// MCSTable returns the 16-entry MCS table of a 2-antenna 802.11n device
+// (MCS 0–7 single stream, MCS 8–15 two streams). The slice is a fresh
+// copy the caller may modify.
+func MCSTable() []MCS {
+	table := mcsTable
+	return table[:]
 }
 
 // MCSByIndex returns the MCS with the given index (0–15).
 func MCSByIndex(idx int) (MCS, bool) {
-	if idx < 0 || idx >= 16 {
+	if idx < 0 || idx >= len(mcsTable) {
 		return MCS{}, false
 	}
-	return MCSTable()[idx], true
+	return mcsTable[idx], true
 }
 
 // MaxMCSIndex is the top MCS of the 2-antenna table; the Fig 8 channel

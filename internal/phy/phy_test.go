@@ -400,3 +400,27 @@ func TestSubcarrierTxPowerAndShannonEdges(t *testing.T) {
 	}()
 	Modulation(42).BitsPerSymbol()
 }
+
+func TestMCSTableIsACopy(t *testing.T) {
+	table := MCSTable()
+	table[3].Streams = 9
+	if m, _ := MCSByIndex(3); m.Streams != 1 {
+		t.Errorf("mutating MCSTable's result changed MCSByIndex(3): %v", m)
+	}
+	if again := MCSTable(); again[3].Streams != 1 {
+		t.Errorf("mutating MCSTable's result changed the next call: %v", again[3])
+	}
+}
+
+func TestCodedBERUnknownRatePanics(t *testing.T) {
+	for _, r := range []CodeRate{-1, Rate56 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CodedBER with code rate %d should panic", int(r))
+				}
+			}()
+			CodedBER(QPSK, r, 10)
+		}()
+	}
+}
